@@ -9,7 +9,9 @@ The textual grammar shared by the library and the command line:
 * ``D(f, g)`` takes the derivative of ``f`` along the generator ``g``
   (left derivative along odd generators);
 * literals are exact integers; rationals are written as quotients
-  (``2/3``).  Decimal points are rejected.
+  (``2/3``).  Decimal points are rejected;
+* parentheses and ``D(...)`` calls nest at most :data:`MAX_NESTING` deep;
+  deeper input is an :class:`ExpressionSyntaxError`, not a crash.
 
 ``format_superfunction`` emits a canonical form — terms ordered by odd
 monomial, polynomial coefficients with lexicographically-leading monomials
@@ -35,6 +37,7 @@ from .scalar import Scalar
 from .superalgebra import Chart, SuperFunction
 
 __all__ = [
+    "MAX_NESTING",
     "parse_expression",
     "format_superfunction",
     "format_scalar",
@@ -45,6 +48,11 @@ __all__ = [
     "transition_to_dict",
     "transition_from_dict",
 ]
+
+
+# The parser recurses a few frames per nesting level; this bound keeps it well
+# inside Python's default recursion limit.
+MAX_NESTING = 100
 
 
 # -- tokenizer ---------------------------------------------------------------------
@@ -114,6 +122,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.chart = chart
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -135,11 +144,15 @@ class _Parser:
         self.advance()
 
     def expression(self) -> SuperFunction:
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"expression nested more than {MAX_NESTING} deep")
+        self.depth += 1
         value = self.term()
         while self.current.kind == "punct" and self.current.text in "+-":
             op = self.advance().text
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
+        self.depth -= 1
         return value
 
     def term(self) -> SuperFunction:
@@ -151,11 +164,11 @@ class _Parser:
         return value
 
     def factor(self) -> SuperFunction:
-        if self.current.kind == "punct" and self.current.text in "+-":
-            op = self.advance().text
-            value = self.factor()
-            return value if op == "+" else -value
-        return self.power()
+        negate = False
+        while self.current.kind == "punct" and self.current.text in "+-":
+            negate ^= self.advance().text == "-"
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> SuperFunction:
         base = self.atom()

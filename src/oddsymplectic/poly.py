@@ -18,93 +18,165 @@ __all__ = ["Polynomial"]
 
 _Exps = tuple[int, ...]
 
-_IntTerms = dict[_Exps, int]
+_GaussInt = tuple[int, int]
+
+_GaussTerms = dict[_Exps, _GaussInt]
+
+_UNIT: _GaussInt = (1, 0)
 
 
 class _HeuristicFailed(Exception):
     """The evaluation-based gcd gave up; the caller falls back to remainders."""
 
 
-def _int_content(terms: _IntTerms) -> int:
-    """Positive gcd of the integer coefficients (0 for the empty dict)."""
-    c = 0
+def _normal(re: int, im: int) -> _GaussInt:
+    """The associate of ``re + im*I`` with ``re > 0`` and ``im >= 0`` (zero stays)."""
+    if not re and not im:
+        return (0, 0)
+    while re <= 0 or im < 0:
+        re, im = -im, re
+    return (re, im)
+
+
+def _gaussian_gcd(a: _GaussInt, b: _GaussInt) -> _GaussInt:
+    """Normalised gcd in Z[i] by Euclid with the nearest-integer quotient."""
+    ar, ai = a
+    br, bi = b
+    if not ai and not bi:
+        return (math.gcd(ar, br), 0)
+    while br or bi:
+        norm = br * br + bi * bi
+        qr = (2 * (ar * br + ai * bi) + norm) // (2 * norm)
+        qi = (2 * (ai * br - ar * bi) + norm) // (2 * norm)
+        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return _normal(ar, ai)
+
+
+def _gaussian_quotient(a: _GaussInt, b: _GaussInt) -> _GaussInt | None:
+    """``a / b`` in Z[i], or ``None`` when ``b`` does not divide ``a``."""
+    ar, ai = a
+    br, bi = b
+    if not bi:
+        qr, rr = divmod(ar, br)
+        qi, ri = divmod(ai, br)
+    else:
+        norm = br * br + bi * bi
+        qr, rr = divmod(ar * br + ai * bi, norm)
+        qi, ri = divmod(ai * br - ar * bi, norm)
+    if rr or ri:
+        return None
+    return (qr, qi)
+
+
+def _content(terms: _GaussTerms) -> _GaussInt:
+    """Normalised gcd of the Gaussian-integer coefficients (zero for ``{}``)."""
+    c: _GaussInt = (0, 0)
     for v in terms.values():
-        c = math.gcd(c, v)
-        if c == 1:
+        c = _gaussian_gcd(c, v)
+        if c == _UNIT:
             break
     return c
 
 
-def _int_divide_exact(num: _IntTerms, div: _IntTerms) -> _IntTerms | None:
-    """Exact quotient of integer term dicts in lex order, or ``None``."""
+def _primitive(terms: _GaussTerms, content: _GaussInt) -> _GaussTerms:
+    """Divide every coefficient by ``content``, which must divide them all."""
+    if content == _UNIT:
+        return terms
+    return {e: _gaussian_quotient(v, content) for e, v in terms.items()}
+
+
+def _divide_exact(num: _GaussTerms, div: _GaussTerms) -> _GaussTerms | None:
+    """Exact quotient of Gaussian-integer term dicts in lex order, or ``None``."""
     if not num:
         return {}
     lt_d = max(div)
     lc_d = div[lt_d]
-    quotient: _IntTerms = {}
+    tail = [(e, v) for e, v in div.items() if e != lt_d]
+    quotient: _GaussTerms = {}
     rem = dict(num)
     while rem:
         lt_r = max(rem)
         diff = tuple(a - b for a, b in zip(lt_r, lt_d))
         if any(d < 0 for d in diff):
             return None
-        q, r = divmod(rem[lt_r], lc_d)
-        if r:
+        q = _gaussian_quotient(rem.pop(lt_r), lc_d)
+        if q is None:
             return None
         quotient[diff] = q
-        for exps, v in div.items():
+        qr, qi = q
+        for exps, (vr, vi) in tail:
             shifted = tuple(a + b for a, b in zip(exps, diff))
-            acc = rem.get(shifted, 0) - v * q
-            if acc:
-                rem[shifted] = acc
+            acc = rem.get(shifted, (0, 0))
+            re = acc[0] - vr * qr + vi * qi
+            im = acc[1] - vr * qi - vi * qr
+            if re or im:
+                rem[shifted] = (re, im)
             else:
                 rem.pop(shifted, None)
     return quotient
 
 
-def _int_eval(terms: _IntTerms, index: int, xi: int) -> _IntTerms:
-    """Substitute the integer ``xi`` for one variable."""
-    out: _IntTerms = {}
-    for exps, v in terms.items():
+def _evaluate(terms: _GaussTerms, index: int, xi: int) -> _GaussTerms:
+    """Substitute the rational integer ``xi`` for one variable."""
+    out: dict[_Exps, list[int]] = {}
+    for exps, (re, im) in terms.items():
         key = exps[:index] + (0,) + exps[index + 1 :]
-        out[key] = out.get(key, 0) + v * xi ** exps[index]
-    return {e: v for e, v in out.items() if v}
+        power = xi ** exps[index]
+        acc = out.get(key)
+        if acc is None:
+            out[key] = [re * power, im * power]
+        else:
+            acc[0] += re * power
+            acc[1] += im * power
+    return {e: (re, im) for e, (re, im) in out.items() if re or im}
 
 
-def _int_interpolate(h: _IntTerms, index: int, xi: int) -> _IntTerms:
-    """Read balanced base-``xi`` digits of ``h`` as powers of one variable."""
-    out: _IntTerms = {}
+def _interpolate(h: _GaussTerms, index: int, xi: int) -> _GaussTerms:
+    """Read balanced base-``xi`` digits of ``h`` as powers of one variable.
+
+    ``xi`` is a rational integer, so the real and imaginary parts lift
+    separately.
+    """
+    out: _GaussTerms = {}
     power = 0
     half = xi // 2
     while h:
-        carry: _IntTerms = {}
-        for exps, v in h.items():
-            r = v % xi
+        carry: _GaussTerms = {}
+        for exps, (re, im) in h.items():
+            r = re % xi
             if r > half:
                 r -= xi
-            if r:
-                out[exps[:index] + (power,) + exps[index + 1 :]] = r
-            w = (v - r) // xi
-            if w:
-                carry[exps] = w
+            s = im % xi if im else 0
+            if s > half:
+                s -= xi
+            if r or s:
+                out[exps[:index] + (power,) + exps[index + 1 :]] = (r, s)
+            re = (re - r) // xi
+            im = (im - s) // xi
+            if re or im:
+                carry[exps] = (re, im)
         h = carry
         power += 1
     return out
 
 
-def _int_gcd_heuristic(f: _IntTerms, g: _IntTerms, nvars: int) -> _IntTerms:
-    """Gcd of integer term dicts by evaluation, integer gcd, and digit lifting.
+def _heuristic_gcd(f: _GaussTerms, g: _GaussTerms, nvars: int) -> _GaussTerms:
+    """Gcd over Z[i] by evaluation, recursive gcd, and digit lifting (GCDHEU).
 
-    Every candidate is verified by exact division before it is returned, so a
+    This is the heuristic of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
+    1989) over the Gaussian integers: the evaluation point is a rational
+    integer larger than twice the smaller coefficient bound, measured as
+    ``max(|re| + |im|)``.  Every candidate is verified by exact division over
+    Z[i] (a UFD, so Gauss's lemma holds) before it is returned, so a
     successful result is always a genuine common divisor of maximal degree;
     unlucky evaluation points only cause retries and, after six of them,
     :class:`_HeuristicFailed`.
     """
-    cf = _int_content(f)
-    cg = _int_content(g)
-    c = math.gcd(cf, cg)
-    f = {e: v // cf for e, v in f.items()}
-    g = {e: v // cg for e, v in g.items()}
+    cf = _content(f)
+    cg = _content(g)
+    c = _gaussian_gcd(cf, cg)
+    f = _primitive(f, cf)
+    g = _primitive(g, cg)
     live: set[int] = set()
     for terms in (f, g):
         for exps in terms:
@@ -114,24 +186,21 @@ def _int_gcd_heuristic(f: _IntTerms, g: _IntTerms, nvars: int) -> _IntTerms:
     if not live:
         return {(0,) * nvars: c}
     index = max(live)
-    nf = max(abs(v) for v in f.values())
-    ng = max(abs(v) for v in g.values())
+    nf = max(abs(re) + abs(im) for re, im in f.values())
+    ng = max(abs(re) + abs(im) for re, im in g.values())
     xi = 2 * min(nf, ng) + 29
+    cr, ci = c
     for _ in range(6):
         if xi.bit_length() > 4000:
             raise _HeuristicFailed
-        ff = _int_eval(f, index, xi)
-        gg = _int_eval(g, index, xi)
+        ff = _evaluate(f, index, xi)
+        gg = _evaluate(g, index, xi)
         if ff and gg:
-            h = _int_gcd_heuristic(ff, gg, nvars)
-            cand = _int_interpolate(h, index, xi)
-            cc = _int_content(cand)
-            cand = {e: v // cc for e, v in cand.items()}
-            if (
-                _int_divide_exact(f, cand) is not None
-                and _int_divide_exact(g, cand) is not None
-            ):
-                return {e: c * v for e, v in cand.items()}
+            h = _heuristic_gcd(ff, gg, nvars)
+            cand = _interpolate(h, index, xi)
+            cand = _primitive(cand, _content(cand))
+            if _divide_exact(f, cand) is not None and _divide_exact(g, cand) is not None:
+                return {e: (cr * re - ci * im, cr * im + ci * re) for e, (re, im) in cand.items()}
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     raise _HeuristicFailed
 
@@ -332,23 +401,39 @@ class Polynomial:
     # -- division, gcd, square root ----------------------------------------------
 
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
-        """Exact quotient ``self / divisor`` or ``None`` if not divisible."""
+        """Exact quotient ``self / divisor`` or ``None`` if not divisible.
+
+        Lex-order long division on a working copy of the terms; the divisor's
+        leading coefficient is inverted once.
+        """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return Polynomial(self.nvars)
-        lt_d, lc_d = divisor.leading()
+        lt_d = max(divisor.terms)
+        inv = divisor.terms[lt_d].inverse()
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lt_d]
         quotient: dict[_Exps, GaussianRational] = {}
-        remainder = self
-        while not remainder.is_zero():
-            lt_r, lc_r = remainder.leading()
+        rem = dict(self.terms)
+        while rem:
+            lt_r = max(rem)
             diff = tuple(a - b for a, b in zip(lt_r, lt_d))
             if any(d < 0 for d in diff):
                 return None
-            c = lc_r / lc_d
-            quotient[diff] = quotient.get(diff, to_gaussian(0)) + c
-            remainder = remainder - divisor * Polynomial.monomial(diff, c, self.nvars)
+            q = rem.pop(lt_r) * inv
+            quotient[diff] = q
+            for exps, coeff in tail:
+                shifted = tuple(a + b for a, b in zip(exps, diff))
+                acc = rem.get(shifted)
+                if acc is None:
+                    rem[shifted] = -(coeff * q)
+                else:
+                    acc = acc - coeff * q
+                    if acc:
+                        rem[shifted] = acc
+                    else:
+                        del rem[shifted]
         return Polynomial(self.nvars, quotient)
 
     def monic(self) -> "Polynomial":
@@ -361,13 +446,10 @@ class Polynomial:
         inv = lc.inverse()
         return Polynomial(self.nvars, {e: c * inv for e, c in self.terms.items()})
 
-    def _univariate_view(self, index: int) -> dict[int, "Polynomial"]:
-        return self.coefficients_in(index)
-
     @staticmethod
     def _content_primitive(p: "Polynomial", index: int) -> tuple["Polynomial", "Polynomial"]:
         """Content (gcd of v^k-coefficients) and primitive part along one variable."""
-        coeffs = list(p._univariate_view(index).values())
+        coeffs = list(p.coefficients_in(index).values())
         content = coeffs[0]
         for c in coeffs[1:]:
             content = Polynomial.gcd(content, c)
@@ -382,14 +464,14 @@ class Polynomial:
     def _pseudo_remainder(a: "Polynomial", b: "Polynomial", index: int) -> "Polynomial":
         """A polynomial proportional to the remainder of ``a`` by ``b`` in variable ``index``."""
         deg_b = b.degree_in(index)
-        lc_b = b._univariate_view(index)[deg_b]
+        lc_b = b.coefficients_in(index)[deg_b]
         remainder = a
         nvars = a.nvars
         while not remainder.is_zero():
             deg_r = remainder.degree_in(index)
             if deg_r < deg_b:
                 break
-            lc_r = remainder._univariate_view(index)[deg_r]
+            lc_r = remainder.coefficients_in(index)[deg_r]
             shift = Polynomial.monomial(
                 tuple(deg_r - deg_b if i == index else 0 for i in range(nvars)), 1, nvars
             )
@@ -420,34 +502,42 @@ class Polynomial:
 
     @staticmethod
     def _gcd_heuristic(a: "Polynomial", b: "Polynomial") -> "Polynomial | None":
-        """Heuristic gcd over the rationals, or ``None`` when inapplicable.
+        """Heuristic gcd over Q(i), or ``None`` when the heuristic gives up.
 
-        Clears denominators to integer coefficients and runs the
-        evaluate/lift/verify strategy; polynomials with a genuinely imaginary
-        coefficient are left to the remainder-sequence path.
+        Clears the denominators of real and imaginary parts to reach Z[i]
+        coefficients and runs the Gaussian-integer evaluate/lift/verify
+        strategy; real inputs are its ``im == 0`` case.  The result is a
+        verified gcd up to a constant factor.
         """
-        cleared: list[_IntTerms] = []
+        cleared: list[_GaussTerms] = []
         for p in (a, b):
             lcm = 1
             for coeff in p.terms.values():
-                if coeff.im:
-                    return None
-                den = coeff.re.denominator
-                lcm = lcm * (den // math.gcd(lcm, den))
-            cleared.append({e: int(coeff.re * lcm) for e, coeff in p.terms.items()})
+                for den in (coeff.re.denominator, coeff.im.denominator):
+                    if den != 1:
+                        lcm = lcm * (den // math.gcd(lcm, den))
+            cleared.append(
+                {
+                    e: (
+                        c.re.numerator * (lcm // c.re.denominator),
+                        c.im.numerator * (lcm // c.im.denominator),
+                    )
+                    for e, c in p.terms.items()
+                }
+            )
         try:
-            h = _int_gcd_heuristic(cleared[0], cleared[1], a.nvars)
+            h = _heuristic_gcd(cleared[0], cleared[1], a.nvars)
         except _HeuristicFailed:
             return None
-        return Polynomial(a.nvars, {e: to_gaussian(v) for e, v in h.items()})
+        return Polynomial(a.nvars, {e: GaussianRational(re, im) for e, (re, im) in h.items()})
 
     @staticmethod
     def gcd(a: "Polynomial", b: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor.
+        """Monic greatest common divisor over Q(i).
 
         A shared monomial factor comes out first; the rest is found by the
-        evaluation heuristic when the coefficients are rational, with a
-        primitive remainder sequence as the general fallback.
+        Gaussian-integer evaluation heuristic, with a primitive
+        pseudo-remainder sequence as the fallback when the heuristic gives up.
         """
         a._check(b)
         if a.is_zero():
@@ -472,7 +562,11 @@ class Polynomial:
 
     @staticmethod
     def _gcd_prs(a: "Polynomial", b: "Polynomial") -> "Polynomial":
-        """Monic gcd by a primitive pseudo-remainder sequence."""
+        """Monic gcd by a primitive pseudo-remainder sequence.
+
+        The fallback of :meth:`gcd` for when :meth:`_gcd_heuristic` gives up;
+        it works over any coefficients but is much slower.
+        """
         shared = a.variables_present() | b.variables_present()
         index = max(shared)
         content_a, prim_a = Polynomial._content_primitive(a, index)

@@ -1,11 +1,17 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oddsymplectic
 from oddsymplectic import brackets
 from oddsymplectic.cli import main
+from oddsymplectic.expressions import MAX_NESTING
 
 SCALING = json.dumps(
     {
@@ -163,6 +169,32 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, err = run(capsys, "restrict", "th1", "--alpha", "x1", "--n", "1")
     assert code == 2 and "odd" in err
+
+
+def test_deep_nesting_is_a_syntax_error_not_a_crash():
+    deep = "(" * 3000 + "x1" + ")" * 3000
+    env = dict(os.environ, PYTHONPATH=str(Path(oddsymplectic.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddsymplectic", "bracket", deep, "th1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert f"more than {MAX_NESTING} deep" in proc.stderr
+
+
+def test_nesting_up_to_the_bound_and_repeated_signs_parse(capsys):
+    at_bound = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    code, out, _ = run(capsys, "bracket", at_bound, "th1")
+    assert code == 0 and out == "1"
+    code, _, err = run(capsys, "bracket", f"D({at_bound}, x1)", "th1")
+    assert code == 2 and "deep" in err
+    code, out, _ = run(capsys, "bracket", "(" + "-" * 3001 + "x1)", "th1")
+    assert code == 0 and out == "-1"
 
 
 def test_unknown_subcommand_and_suite_exit_two():

@@ -1,0 +1,89 @@
+"""Gcd and exact division over Q(i), checked against sympy as an oracle.
+
+Polynomials in one to three variables with Gaussian-rational coefficients are
+generated with a planted common factor.  The oracle works in ``QQ_I``,
+sympy's field of Gaussian rationals.  ``sympy`` and ``hypothesis`` are
+test-only dependencies.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oddsymplectic.gaussian import GaussianRational
+from oddsymplectic.poly import Polynomial
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# Units make cancellations, such as (x + y)(x - y), common enough to exercise
+# the division steps that subtract into an empty remainder slot.
+_units = st.sampled_from([GaussianRational(re, im) for re, im in ((1, 0), (-1, 0), (0, 1), (0, -1))])
+_coefficients = st.one_of(_units, st.builds(GaussianRational, _fractions, _fractions).filter(bool))
+
+
+@st.composite
+def _polynomial(draw, nvars: int) -> Polynomial:
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    terms = draw(st.dictionaries(exps, _coefficients, min_size=1, max_size=3))
+    return Polynomial(nvars, terms)
+
+
+@st.composite
+def _planted(draw) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """Three nonzero polynomials in a shared variable set: (u, v, w)."""
+    nvars = draw(st.integers(1, 3))
+    return tuple(draw(_polynomial(nvars)) for _ in range(3))
+
+
+def _to_sympy(p: Polynomial):
+    terms = {e: sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im) for e, c in p.terms.items()}
+    gens = sympy.symbols(f"x0:{p.nvars}")
+    return sympy.Poly.from_dict(terms, *gens, domain=sympy.QQ_I)
+
+
+def _lex_monic_gcd(a: Polynomial, b: Polynomial):
+    """sympy's gcd over Q(i), scaled so the lex-leading coefficient is one."""
+    return sympy.gcd(_to_sympy(a), _to_sympy(b)).monic()
+
+
+@SETTINGS
+@given(_planted())
+def test_gcd_matches_sympy(polys):
+    u, v, w = polys
+    a, b = u * v, u * w
+    expected = _lex_monic_gcd(a, b)
+    assert _to_sympy(Polynomial.gcd(a, b)) == expected
+    heuristic = Polynomial._gcd_heuristic(a, b)
+    assert heuristic is not None
+    assert _to_sympy(heuristic.monic()) == expected
+
+
+@SETTINGS
+@given(_planted(), st.booleans())
+def test_divide_exact_matches_sympy_div(polys, perturb):
+    u, v, w = polys
+    num = u * v + w if perturb else u * v
+    quotient, remainder = sympy.div(_to_sympy(num), _to_sympy(u))
+    ours = num.divide_exact(u)
+    if remainder.is_zero:
+        assert ours is not None
+        assert _to_sympy(ours) == quotient
+    else:
+        assert ours is None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_planted())
+def test_prs_fallback_agrees_with_the_heuristic(polys):
+    u, v, w = polys
+    a, b = u * v, u * w
+    expected = Polynomial.gcd(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "_gcd_heuristic", staticmethod(lambda a, b: None))
+        fallback = Polynomial.gcd(a, b)
+    assert fallback == expected
+    assert _to_sympy(fallback) == _lex_monic_gcd(a, b)

@@ -6,6 +6,7 @@ import pytest
 
 from oddsymplectic.brackets import CotangentStructure, PoissonStructure, odd_poisson_bracket
 from oddsymplectic.errors import NonInvertibleBody, ParityViolation
+from oddsymplectic.expressions import parse_expression
 from oddsymplectic.laplacians import (
     VolumeForm,
     delta0,
@@ -18,6 +19,7 @@ from oddsymplectic.laplacians import (
     modular_hamiltonian,
     modular_operator,
 )
+from oddsymplectic.poly import Polynomial
 from oddsymplectic.superalgebra import Chart, SuperFunction
 
 
@@ -209,3 +211,15 @@ def test_even_modular_field_rejects_odd_structures(c2):
     struct = PoissonStructure.darboux_odd(c2)
     with pytest.raises(ParityViolation):
         even_modular_field(struct, SuperFunction.one(c2), SuperFunction.generator(c2, "x1"))
+
+
+def test_gaussian_volume_stays_on_the_heuristic_gcd(c2, monkeypatch):
+    volume = VolumeForm(c2, parse_expression("3*I/(1 + x1^2 + x2^3)", c2))
+    f = parse_expression("x1*x2*th1*th2", c2)
+    calls = []
+    prs = Polynomial._gcd_prs
+    monkeypatch.setattr(
+        Polynomial, "_gcd_prs", staticmethod(lambda a, b: calls.append(1) or prs(a, b))
+    )
+    assert delta_rho(volume, delta_rho(volume, f)).is_zero()
+    assert calls == []
