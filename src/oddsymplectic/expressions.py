@@ -10,13 +10,16 @@ The textual grammar shared by the library and the command line:
   (left derivative along odd generators);
 * literals are exact integers; rationals are written as quotients
   (``2/3``).  Decimal points are rejected;
-* parentheses and ``D(...)`` calls nest at most :data:`MAX_NESTING` deep;
-  deeper input is an :class:`ExpressionSyntaxError`, not a crash.
+* parentheses and ``D(...)`` calls nest at most :data:`MAX_NESTING` deep,
+  and an exponent's magnitude is at most :data:`MAX_EXPONENT`; input past
+  either bound is an :class:`ExpressionSyntaxError`, not a crash or a
+  computation that does not finish.
 
 ``format_superfunction`` emits a canonical form — terms ordered by odd
 monomial, polynomial coefficients with lexicographically-leading monomials
-first — and ``parse_expression`` inverts it exactly on every value the
-library can produce.
+first, powers above :data:`MAX_EXPONENT` written as products — and
+``parse_expression`` inverts it exactly on every value the library can
+produce.
 
 JSON serialization represents a function as ``{"chart": ..., "terms":
 [{"monomial": [...], "num": ..., "den": ...}]}`` with numerator and
@@ -37,6 +40,7 @@ from .scalar import Scalar
 from .superalgebra import Chart, SuperFunction
 
 __all__ = [
+    "MAX_EXPONENT",
     "MAX_NESTING",
     "parse_expression",
     "format_superfunction",
@@ -53,6 +57,11 @@ __all__ = [
 # The parser recurses a few frames per nesting level; this bound keeps it well
 # inside Python's default recursion limit.
 MAX_NESTING = 100
+
+# Largest exponent magnitude after ``^``.  Expanding a power costs time that
+# grows with the exponent, so an unbounded one lets a short input run for
+# hours; no use of the grammar needs more than a few.
+MAX_EXPONENT = 64
 
 
 # -- tokenizer ---------------------------------------------------------------------
@@ -180,8 +189,11 @@ class _Parser:
                     sign = -1
             if self.current.kind != "int":
                 raise self.fail("expected an integer exponent")
-            exponent = sign * int(self.advance().text)
-            return base**exponent
+            exponent = int(self.current.text)
+            if exponent > MAX_EXPONENT:
+                raise self.fail(f"exponent larger than {MAX_EXPONENT}")
+            self.advance()
+            return base ** (sign * exponent)
         return base
 
     def atom(self) -> SuperFunction:
@@ -284,6 +296,10 @@ def _format_poly_term(
 ) -> str:
     factors = []
     for name, e in zip(names, exps):
+        # Keep every printed exponent within the parser's bound.
+        while e > MAX_EXPONENT:
+            factors.append(f"{name}^{MAX_EXPONENT}")
+            e -= MAX_EXPONENT
         if e == 1:
             factors.append(name)
         elif e > 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-from .gaussian import GaussianRational, QLike, to_gaussian
+from .gaussian import ONE, ZERO, GaussianRational, QLike, to_gaussian
 
 __all__ = ["Polynomial"]
 
@@ -226,20 +226,21 @@ class Polynomial:
     @classmethod
     def constant(cls, value: QLike, nvars: int) -> "Polynomial":
         c = to_gaussian(value)
-        if not c:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: c})
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = {(0,) * nvars: c} if c else {}
+        return out
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
-        return cls.constant(1, nvars)
+        return cls.constant(ONE, nvars)
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range for {nvars} variables")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: to_gaussian(1)})
+        return cls(nvars, {exps: ONE})
 
     @classmethod
     def monomial(cls, exps: _Exps, coeff: QLike, nvars: int) -> "Polynomial":
@@ -254,11 +255,12 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and (0,) * self.nvars in terms)
 
     def constant_value(self) -> GaussianRational:
         """The coefficient of the empty monomial (the value at the origin)."""
-        return self.terms.get((0,) * self.nvars, to_gaussian(0))
+        return self.terms.get((0,) * self.nvars, ZERO)
 
     def leading(self) -> tuple[_Exps, GaussianRational]:
         """Leading (lex-greatest) term; raises ``ValueError`` on zero."""
@@ -504,26 +506,21 @@ class Polynomial:
     def _gcd_heuristic(a: "Polynomial", b: "Polynomial") -> "Polynomial | None":
         """Heuristic gcd over Q(i), or ``None`` when the heuristic gives up.
 
-        Clears the denominators of real and imaginary parts to reach Z[i]
-        coefficients and runs the Gaussian-integer evaluate/lift/verify
-        strategy; real inputs are its ``im == 0`` case.  The result is a
-        verified gcd up to a constant factor.
+        Multiplies each polynomial by the lcm of its coefficients' shared
+        denominators ``d`` to reach Z[i] coefficients and runs the
+        Gaussian-integer evaluate/lift/verify strategy; real inputs are its
+        ``im == 0`` case.  The result is a verified gcd up to a constant
+        factor.
         """
         cleared: list[_GaussTerms] = []
         for p in (a, b):
             lcm = 1
             for coeff in p.terms.values():
-                for den in (coeff.re.denominator, coeff.im.denominator):
-                    if den != 1:
-                        lcm = lcm * (den // math.gcd(lcm, den))
+                den = coeff.d
+                if den != 1:
+                    lcm = lcm * (den // math.gcd(lcm, den))
             cleared.append(
-                {
-                    e: (
-                        c.re.numerator * (lcm // c.re.denominator),
-                        c.im.numerator * (lcm // c.im.denominator),
-                    )
-                    for e, c in p.terms.items()
-                }
+                {e: (c.a * (lcm // c.d), c.b * (lcm // c.d)) for e, c in p.terms.items()}
             )
         try:
             h = _heuristic_gcd(cleared[0], cleared[1], a.nvars)

@@ -372,6 +372,11 @@ class SuperFunction:
         return self._coerce(other) - self
 
     def scale(self, factor: ScalarLike) -> "SuperFunction":
+        if type(factor) is int:
+            if factor == 1:
+                return self
+            if factor == -1:
+                return -self
         scalar = Scalar.coerce(factor, self.chart.nvars)
         if scalar.is_zero():
             return SuperFunction(self.chart)
@@ -543,7 +548,7 @@ class SuperFunction:
         origin_den = root_body.den.constant_value()
         if origin_num and origin_den:
             origin = origin_num / origin_den
-            if not origin.im and origin.re < 0:
+            if not origin.b and origin.a < 0:
                 root_body = -root_body
         u = SuperFunction(self.chart, {m: c for m, c in self.terms.items() if m}).scale(
             body.invert()

@@ -11,7 +11,7 @@ import pytest
 import oddsymplectic
 from oddsymplectic import brackets
 from oddsymplectic.cli import main
-from oddsymplectic.expressions import MAX_NESTING
+from oddsymplectic.expressions import MAX_EXPONENT, MAX_NESTING
 
 SCALING = json.dumps(
     {
@@ -171,20 +171,40 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "odd" in err
 
 
-def test_deep_nesting_is_a_syntax_error_not_a_crash():
-    deep = "(" * 3000 + "x1" + ")" * 3000
+def run_subprocess(*argv):
     env = dict(os.environ, PYTHONPATH=str(Path(oddsymplectic.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "oddsymplectic", "bracket", deep, "th1"],
+    return subprocess.run(
+        [sys.executable, "-m", "oddsymplectic", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_deep_nesting_is_a_syntax_error_not_a_crash():
+    deep = "(" * 3000 + "x1" + ")" * 3000
+    proc = run_subprocess("bracket", deep, "th1")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert f"more than {MAX_NESTING} deep" in proc.stderr
+
+
+def test_exponent_past_the_bound_is_a_syntax_error_not_a_hang():
+    proc = run_subprocess("bracket", "(1+x1)^20000", "th1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert f"exponent larger than {MAX_EXPONENT}" in proc.stderr
+    at_bound = run_subprocess("bracket", f"(1+x1)^{MAX_EXPONENT}", "th1")
+    assert at_bound.returncode == 0
+    assert at_bound.stdout.startswith(f"{MAX_EXPONENT}*x1^{MAX_EXPONENT - 1} + ")
+    for past in (f"x1^{MAX_EXPONENT + 1}", f"x1^-{MAX_EXPONENT + 1}"):
+        proc = run_subprocess("bracket", past, "th1")
+        assert proc.returncode == 2 and "exponent larger" in proc.stderr
+    below = run_subprocess("bracket", f"x1^-{MAX_EXPONENT}", "th1")
+    assert below.returncode == 0
 
 
 def test_nesting_up_to_the_bound_and_repeated_signs_parse(capsys):

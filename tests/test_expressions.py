@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddsymplectic.charts import Transition
 from oddsymplectic.errors import (
@@ -11,6 +13,7 @@ from oddsymplectic.errors import (
     UnknownGenerator,
 )
 from oddsymplectic.expressions import (
+    MAX_EXPONENT,
     chart_from_dict,
     chart_to_dict,
     format_scalar,
@@ -22,6 +25,8 @@ from oddsymplectic.expressions import (
     transition_to_dict,
 )
 from oddsymplectic.gaussian import GaussianRational
+from oddsymplectic.poly import Polynomial
+from oddsymplectic.scalar import Scalar
 from oddsymplectic.superalgebra import Chart, SuperFunction
 
 
@@ -144,9 +149,47 @@ def test_print_parse_round_trip():
         th1.scale(GaussianRational(Fraction(1, 3), Fraction(-2, 5))),
         x1 * x1 * x1 + 3 * x1 * x2 - 2,
         (x1 * th1 + x2 * th2).scale(Fraction(1, 2)),
+        x1 ** (2 * MAX_EXPONENT + 1) * th1 - (one(chart) + x2) ** -(MAX_EXPONENT + 1),
     ]
     for value in samples:
         assert parse_expression(format_superfunction(value), chart) == value
+
+
+_ROUND_TRIP_CHART = Chart.darboux(2, externals=("eps1",))
+_parts = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+_coefficients = st.one_of(
+    st.builds(GaussianRational, st.integers(-5, 5)),
+    st.builds(GaussianRational, _parts),
+    st.builds(GaussianRational, _parts, _parts),
+)
+
+
+@st.composite
+def _polynomials(draw):
+    nvars = _ROUND_TRIP_CHART.nvars
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return Polynomial(nvars, draw(st.dictionaries(exps, _coefficients, max_size=4)))
+
+
+@st.composite
+def _superfunctions(draw):
+    """Sums of odd monomials whose coefficients have Gaussian, rational and
+    integer parts over denominators that are one, constant, or polynomial."""
+    chart = _ROUND_TRIP_CHART
+    masks = st.integers(0, (1 << chart.nodds) - 1)
+    denominators = st.one_of(st.none(), _polynomials().filter(lambda p: not p.is_zero()))
+    terms = {
+        mask: Scalar(draw(_polynomials()), draw(denominators))
+        for mask in draw(st.lists(masks, max_size=4, unique=True))
+    }
+    return SuperFunction(chart, terms)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_superfunctions())
+def test_print_parse_round_trip_property(value):
+    text = format_superfunction(value)
+    assert parse_expression(text, _ROUND_TRIP_CHART) == value
 
 
 def test_str_uses_canonical_format():
