@@ -15,6 +15,18 @@ are weight one-half.  The canonical odd Laplacian on semidensities acts as
 ``Delta_0`` on the coefficient in any Darboux system; transitions produced
 by the constructors here preserve the canonical bracket, and the associated
 invariance statement ``Delta_0(sqrt(Ber)) = 0`` is exposed for verification.
+
+The linear algebra is one Gauss-Jordan elimination over the even
+subalgebra.  Each column pivots on its first remaining entry with a nonzero
+body (theta-free part), which is therefore invertible, and the determinant
+is the signed product of the pivots.  A column without such an entry has a
+determinant with zero body: the elimination then expands the remaining
+block along that column, so nilpotent determinants stay exact.  One solve
+of ``D X = C`` gives both ``det(D)`` and ``X = D^{-1} C`` (when ``B`` is
+zero, as for point maps and shifts, ``X`` is not needed and only ``det(D)``
+is computed); a second, without a right-hand side, gives the determinant of
+the Schur complement ``A - B X``.  Point transformations invert their base
+Jacobian with the same routine.
 """
 
 from __future__ import annotations
@@ -62,63 +74,59 @@ Matrix = list[list[SuperFunction]]
 # -- small exact linear algebra over the even part of the algebra -------------------
 
 
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _solve_even(
+    m: Matrix, rhs: Matrix | None, chart: Chart
+) -> tuple[SuperFunction, Matrix]:
+    """``(det(m), m^{-1} rhs)`` by Gauss-Jordan elimination over the even part.
 
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out: Matrix = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _det_even(m: Matrix, chart: Chart) -> SuperFunction:
-    """Determinant of a matrix of commuting (even) entries."""
+    ``m`` is square with commuting (even) entries; the rows of ``rhs`` (of
+    any parity) ride along with the row operations.  Each column pivots on
+    the first remaining entry with a nonzero body, which is invertible, and
+    the determinant is the signed product of the pivots.  A column with no
+    such entry means ``det(m)`` has zero body: with ``rhs`` that is
+    :class:`~oddsymplectic.errors.NonInvertibleBody`; without it the
+    remaining block is expanded along that column, each minor solved again
+    here, so nilpotent determinants come out exactly.  Without ``rhs`` the
+    second element is empty.
+    """
     size = len(m)
-    if size == 0:
-        return SuperFunction.one(chart)
-    if size == 1:
-        return m[0][0]
-    result = SuperFunction.zero(chart)
-    for i in range(size):
-        minor = [row[1:] for r, row in enumerate(m) if r != i]
-        cofactor = _det_even(minor, chart)
-        term = m[i][0] * cofactor
-        result = result + (term if i % 2 == 0 else -term)
-    return result
-
-
-def _inv_even(m: Matrix, chart: Chart) -> Matrix:
-    """Inverse via the adjugate; requires an invertible determinant."""
-    size = len(m)
-    det = _det_even(m, chart)
-    det_inv = det.invert()
-    if size == 1:
-        return [[det_inv]]
-    out: Matrix = [[SuperFunction.zero(chart) for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            minor = [
-                [m[r][c] for c in range(size) if c != j]
-                for r in range(size)
-                if r != i
-            ]
-            cof = _det_even(minor, chart)
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof * det_inv
-    return out
+    if rhs is None:
+        rows = [list(row) for row in m]
+    else:
+        rows = [list(row) + list(extra) for row, extra in zip(m, rhs)]
+    det = SuperFunction.one(chart)
+    for k in range(size):
+        p = next((r for r in range(k, size) if 0 in rows[r][k].terms), None)
+        if p is None:
+            if rhs is not None:
+                raise NonInvertibleBody("matrix determinant has a vanishing body")
+            block = [row[k:] for row in rows[k:]]
+            rest = SuperFunction.zero(chart)
+            for i, row in enumerate(block):
+                if row[0].is_zero():
+                    continue
+                minor = [r[1:] for j, r in enumerate(block) if j != i]
+                term = row[0] * _solve_even(minor, None, chart)[0]
+                rest = rest + term if i % 2 == 0 else rest - term
+            return det * rest, []
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        det = det * pivot
+        inv = pivot.invert()
+        for j in range(k + 1, len(pivot_row)):
+            pivot_row[j] = pivot_row[j] * inv
+        for i in range(k + 1, size) if rhs is None else range(size):
+            factor = rows[i][k]
+            if i == k or factor.is_zero():
+                continue
+            row = rows[i]
+            for j in range(k + 1, len(row)):
+                if not pivot_row[j].is_zero():
+                    row[j] = row[j] - factor * pivot_row[j]
+    return det, [] if rhs is None else [row[size:] for row in rows]
 
 
 # -- transitions ----------------------------------------------------------------------
@@ -218,8 +226,10 @@ class Transition:
             [phi[i].partial_even(xk) for xk in target.even_coords]
             for i in range(n)
         ]
+        one, zero = SuperFunction.one(target), SuperFunction.zero(target)
+        identity = [[one if r == c else zero for c in range(n)] for r in range(n)]
         try:
-            jac_inv = _inv_even(jac, target)
+            _, jac_inv = _solve_even(jac, identity, target)
         except NonInvertibleBody:
             raise InvalidTransition("base map has a degenerate Jacobian") from None
         images: dict[str, SuperFunction] = {}
@@ -305,15 +315,26 @@ def berezinian(transition: Transition) -> SuperFunction:
     b = [row[n_even:] for row in jac[:n_even]]
     c = [row[:n_even] for row in jac[n_even:]]
     d = [row[n_even:] for row in jac[n_even:]]
+    # D^{-1} C is needed only against a nonzero B; point maps and shifts
+    # have B = 0, and their Schur complement is A itself.
+    rhs = c if any(not entry.is_zero() for row in b for entry in row) else None
     try:
-        d_inv = _inv_even(d, tgt)
-        det_d_inv = _det_even(d, tgt).invert()
+        det_d, x = _solve_even(d, rhs, tgt)
+        det_d_inv = det_d.invert()
     except NonInvertibleBody:
         raise InvalidTransition(
             "odd-odd block of the Jacobian is not invertible"
         ) from None
-    schur = _mat_sub(a, _mat_mul(_mat_mul(b, d_inv), c)) if n_even else []
-    return _det_even(schur, tgt) * det_d_inv
+    # The Schur complement A - B (D^{-1} C): odd times odd, so even entries.
+    schur = [list(row) for row in a]
+    for i, b_row in enumerate(b):
+        for k, b_ik in enumerate(b_row):
+            if b_ik.is_zero():
+                continue
+            for j, x_kj in enumerate(x[k]):
+                schur[i][j] = schur[i][j] - b_ik * x_kj
+    det_schur, _ = _solve_even(schur, None, tgt)
+    return det_schur * det_d_inv
 
 
 def sqrt_berezinian(transition: Transition) -> SuperFunction:

@@ -11,8 +11,10 @@ The textual grammar shared by the library and the command line:
 * literals are exact integers; rationals are written as quotients
   (``2/3``).  Decimal points are rejected;
 * parentheses and ``D(...)`` calls nest at most :data:`MAX_NESTING` deep,
-  and an exponent's magnitude is at most :data:`MAX_EXPONENT`; input past
-  either bound is an :class:`ExpressionSyntaxError`, not a crash or a
+  an exponent's magnitude is at most :data:`MAX_EXPONENT`, and a power may
+  reach total degree at most :data:`MAX_POWER_DEGREE` and at most
+  :data:`MAX_POWER_TERMS` monomials by the dense count; input past any of
+  these bounds is an :class:`ExpressionSyntaxError`, not a crash or a
   computation that does not finish.
 
 ``format_superfunction`` emits a canonical form — terms ordered by odd
@@ -29,6 +31,7 @@ an image expression per generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
@@ -42,6 +45,8 @@ from .superalgebra import Chart, SuperFunction
 __all__ = [
     "MAX_EXPONENT",
     "MAX_NESTING",
+    "MAX_POWER_DEGREE",
+    "MAX_POWER_TERMS",
     "parse_expression",
     "format_superfunction",
     "format_scalar",
@@ -62,6 +67,13 @@ MAX_NESTING = 100
 # grows with the exponent, so an unbounded one lets a short input run for
 # hours; no use of the grammar needs more than a few.
 MAX_EXPONENT = 64
+
+# Bounds on what one power may expand to, checked before it is expanded.  A
+# bounded exponent alone does not bound the result: ``((1+x1)^64)^64`` has
+# degree 4096.  A power of total degree ``d`` in ``v`` variables has at most
+# ``C(d + v, v)`` monomials, and expanding it costs about the square of that.
+MAX_POWER_DEGREE = 4 * MAX_EXPONENT
+MAX_POWER_TERMS = 5000
 
 
 # -- tokenizer ---------------------------------------------------------------------
@@ -192,6 +204,15 @@ class _Parser:
             exponent = int(self.current.text)
             if exponent > MAX_EXPONENT:
                 raise self.fail(f"exponent larger than {MAX_EXPONENT}")
+            degree, terms = _power_size(base, exponent)
+            if degree > MAX_POWER_DEGREE:
+                raise self.fail(
+                    f"power of degree {degree}, more than {MAX_POWER_DEGREE}"
+                )
+            if terms > MAX_POWER_TERMS:
+                raise self.fail(
+                    f"power with up to {terms} terms, more than {MAX_POWER_TERMS}"
+                )
             self.advance()
             return base ** (sign * exponent)
         return base
@@ -242,6 +263,23 @@ class _Parser:
             )
         self.expect_punct(")")
         return value.derivative(name_token.text)
+
+
+def _power_size(base: SuperFunction, exponent: int) -> tuple[int, int]:
+    """Total degree of ``base^exponent`` and its dense monomial count.
+
+    The degree is the exponent times the largest total degree of a numerator
+    or denominator in ``base``; the count is ``C(degree + v, v)`` over the
+    ``v`` even variables that occur.
+    """
+    degree = 0
+    present: set[int] = set()
+    for coeff in base.terms.values():
+        for poly in (coeff.num, coeff.den):
+            degree = max(degree, poly.total_degree())
+            present |= poly.variables_present()
+    degree *= exponent
+    return degree, math.comb(degree + len(present), len(present))
 
 
 def parse_expression(text: str, chart: Chart) -> SuperFunction:

@@ -1,7 +1,9 @@
 """Seeded random generators for stress-testing the exact identities.
 
 Sampling policy: integer coefficients in ``[-3, 3]``, polynomial degree at
-most 3, dimension at most 3.  The identities under test are multilinear in
+most 3, dimension at most 5 (the tests cover every dimension up to the cap,
+including n = 4, the first where the form bridge's kernel sign is -1 and its
+prefactor +1).  The identities under test are multilinear in
 their inputs, so small random samples (backed elsewhere by exhaustive
 monomial bases) give full coverage while keeping exact arithmetic cheap.
 """
@@ -20,7 +22,7 @@ from .superalgebra import Chart, SuperFunction
 MIN_COEFFICIENT = -3
 MAX_COEFFICIENT = 3
 MAX_DEGREE = 3
-MAX_DIMENSION = 3
+MAX_DIMENSION = 5
 
 _NONZERO = tuple(
     c for c in range(MIN_COEFFICIENT, MAX_COEFFICIENT + 1) if c != 0

@@ -1,13 +1,17 @@
 """Coordinate transitions, Berezinians, density transport, and flows."""
 
+import itertools
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from oddsymplectic import sampling
 from oddsymplectic.brackets import odd_poisson_bracket
 from oddsymplectic.charts import (
     Density,
     Transition,
+    _solve_even,
     berezinian,
     bv_identity,
     canonical_delta,
@@ -25,6 +29,7 @@ from oddsymplectic.charts import (
 from oddsymplectic.errors import (
     ChartMismatch,
     InvalidTransition,
+    NonInvertibleBody,
     NonTerminatingFlow,
     NotClosed,
     ParityViolation,
@@ -178,12 +183,201 @@ def test_berezinian_rejects_degenerate_odd_block():
         berezinian(t)
 
 
+def test_berezinian_without_odd_coordinates_is_the_even_determinant():
+    chart = Chart.forms(2)
+    assert chart.odd_coords == ()
+    x1, x2 = gens(chart, "x1", "x2")
+    t = Transition(chart, chart, {"x1": x1.scale(2) + x2 * x2, "x2": x1 + x2})
+    assert berezinian(t) == one(chart).scale(2) - x2.scale(2)
+
+
 def test_berezinian_with_rational_coefficients():
     chart = Chart.darboux(1)
     x1, th1 = gens(chart, "x1", "th1")
     t = Transition(chart, chart, {"th1": x1 * th1})
     assert berezinian(t) == x1.invert()
     assert not is_symplectomorphism(t)
+
+
+# -- the elimination against Leibniz's formula --------------------------------------
+
+# Three odd generators keep the random matrices cheap; four let a product of
+# two even nilpotents survive.
+NILPOTENT_CHART = Chart.darboux(2, externals=("eps1",))
+DEEP_NILPOTENT_CHART = Chart.darboux(2, externals=("eps1", "eps2"))
+
+
+def leibniz_det(m, chart):
+    """The determinant as Leibniz's permutation sum (the elimination's oracle)."""
+    total = SuperFunction.zero(chart)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = one(chart)
+        for row, col in enumerate(perm):
+            term = term * m[row][col]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def identity_matrix(size, chart):
+    return [
+        [one(chart) if r == c else SuperFunction.zero(chart) for c in range(size)]
+        for r in range(size)
+    ]
+
+
+def random_even_matrix(rng, size, chart, nilpotent_first_column=False):
+    """Entries: a body linear in ``x1``, an even nilpotent part, either, or zero."""
+    (x1,) = gens(chart, "x1")
+    rows = []
+    for r in range(size):
+        row = []
+        for c in range(size):
+            entry = SuperFunction.zero(chart)
+            if rng.random() < 0.6 and not (nilpotent_first_column and c == 0):
+                entry = entry + x1.scale(rng.randint(-2, 2)) + rng.choice((-2, -1, 1, 3))
+            if rng.random() < 0.5:
+                entry = entry + sampling.random_nilpotent_even(rng, chart, degree=0)
+            row.append(entry)
+        rows.append(row)
+    return rows
+
+
+def check_elimination(m, chart):
+    """Compare det with Leibniz and the inverse with the identity; return det."""
+    det, rest = _solve_even(m, None, chart)
+    assert rest == []
+    assert det == leibniz_det(m, chart)
+    size = len(m)
+    if 0 in det.terms:
+        det_again, inv = _solve_even(m, identity_matrix(size, chart), chart)
+        assert det_again == det
+        product = [
+            [
+                sum((m[i][k] * inv[k][j] for k in range(size)), SuperFunction.zero(chart))
+                for j in range(size)
+            ]
+            for i in range(size)
+        ]
+        assert product == identity_matrix(size, chart)
+    else:
+        with pytest.raises(NonInvertibleBody):
+            _solve_even(m, identity_matrix(size, chart), chart)
+    return det
+
+
+def test_elimination_matches_leibniz_on_random_even_matrices():
+    chart = NILPOTENT_CHART
+    rng = Random(2024)
+    invertible = 0
+    for trial in range(30):
+        size = 1 + trial % 5
+        det = check_elimination(random_even_matrix(rng, size, chart), chart)
+        invertible += 0 in det.terms
+    assert 10 <= invertible < 30
+
+
+def test_elimination_expands_columns_without_an_invertible_entry():
+    chart = DEEP_NILPOTENT_CHART
+    x1, x2, th1, th2, eps1, eps2 = gens(chart, "x1", "x2", "th1", "th2", "eps1", "eps2")
+    n1, n2 = th1 * th2, eps1 * eps2
+    assert check_elimination([[n1, one(chart) + x1], [n2, x2]], chart) == (
+        n1 * x2 - n2 * (one(chart) + x1)
+    )
+    # Two columns without a body: the expansion recurses into its minor.
+    zero = SuperFunction.zero(chart)
+    assert check_elimination([[n1, zero], [zero, n2]], chart) == n1 * n2
+    assert check_elimination([[n1, n2], [n2, n1]], chart).is_zero()
+    chart = NILPOTENT_CHART
+    rng = Random(7)
+    nonzero = 0
+    for trial in range(20):
+        size = 1 + trial % 5
+        m = random_even_matrix(rng, size, chart, nilpotent_first_column=True)
+        det = check_elimination(m, chart)
+        assert 0 not in det.terms
+        nonzero += not det.is_zero()
+    assert nonzero >= 3
+
+
+def test_empty_matrix_has_unit_determinant():
+    chart = NILPOTENT_CHART
+    assert _solve_even([], None, chart) == (one(chart), [])
+    assert _solve_even([], [], chart) == (one(chart), [])
+
+
+# -- transitions past dimension three -----------------------------------------------
+
+
+def transitions_of_every_kind(n):
+    """Point, bent point, shift and flow transitions built by the constructors."""
+    chart = Chart.darboux(n, externals=("eps1", "eps2"))
+    x = gens(chart, *chart.even_coords)
+    th = gens(chart, *chart.odd_coords)
+    eps1, eps2 = gens(chart, "eps1", "eps2")
+    triangular = [x[i] + x[i + 1] * x[i + 1] for i in range(n - 1)] + [x[-1]]
+    point = Transition.point(chart, chart, triangular)
+    bent = Transition.point(chart, chart, [x[0] + x[0] * x[0] + x[1] * x[2], *x[1:]])
+    potential = eps1 * (x[0] * x[1] + x[2] * x[2]) + eps2 * x[-1] * x[0] * x[0]
+    shift = Transition.shift_one_form(
+        chart, chart, [potential.derivative(name) for name in chart.even_coords]
+    )
+    q = (one(chart) + x[0]) * th[0] * th[1] * th[2] + eps1 * x[1] * th[0] * th[-1]
+    flow = exponentiate_hamiltonian(q, Fraction(1, 2))
+    return chart, {"point": point, "bent": bent, "shift": shift, "flow": flow}
+
+
+def berezinian_through_the_even_block(transition):
+    """``det(A) / det(D - C A^{-1} B)``: the other Schur complement's formula."""
+    chart = transition.target
+    n = len(transition.source.even_coords)
+    jac = jacobian(transition)
+    a = [row[:n] for row in jac[:n]]
+    b = [row[n:] for row in jac[:n]]
+    c = [row[:n] for row in jac[n:]]
+    d = [row[n:] for row in jac[n:]]
+    det_a, y = _solve_even(a, b, chart)
+    schur = [
+        [
+            d[i][j] - sum((c[i][k] * y[k][j] for k in range(n)), SuperFunction.zero(chart))
+            for j in range(len(d))
+        ]
+        for i in range(len(d))
+    ]
+    return det_a * _solve_even(schur, None, chart)[0].invert()
+
+
+def test_berezinian_with_odd_off_diagonal_blocks():
+    chart = Chart.darboux(1).with_externals("eps1", "eps2")
+    x1, th1, eps1, eps2 = gens(chart, "x1", "th1", "eps1", "eps2")
+    t = Transition(chart, chart, {"x1": x1 + eps1 * th1, "th1": th1 + eps2 * x1})
+    jac = jacobian(t)
+    assert jac[0][1] == -eps1 and jac[1][0] == eps2
+    # det(A - B D^{-1} C) / det(D) = 1 - (-eps1) eps2.
+    assert berezinian(t) == one(chart) + eps1 * eps2
+    assert berezinian_through_the_even_block(t) == berezinian(t)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_transitions_past_dimension_three(n):
+    chart, kinds = transitions_of_every_kind(n)
+    x1, x2, x3, th1, th2, th3 = gens(chart, "x1", "x2", "x3", "th1", "th2", "th3")
+    stretch = one(chart) + x1.scale(2)
+    bent = kinds["bent"]
+    assert bent.images["th1"] == th1 * stretch.invert()
+    assert bent.images["th2"] == th2 - x3 * th1 * stretch.invert()
+    assert bent.images["th3"] == th3 - x2 * th1 * stretch.invert()
+    assert berezinian(bent) == stretch * stretch
+    assert berezinian(kinds["point"]) == one(chart)
+    assert berezinian(kinds["shift"]) == one(chart)
+    names = list(kinds)
+    for index, name in enumerate(names):
+        first, then = kinds[name], kinds[names[(index + 1) % len(names)]]
+        assert is_symplectomorphism(first)
+        assert bv_identity(first).is_zero()
+        assert berezinian(first) == berezinian_through_the_even_block(first)
+        chained = first.compose(then)
+        assert berezinian(chained) == then.apply(berezinian(first)) * berezinian(then)
 
 
 # -- one-form shifts --------------------------------------------------------------

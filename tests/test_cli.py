@@ -11,7 +11,12 @@ import pytest
 import oddsymplectic
 from oddsymplectic import brackets
 from oddsymplectic.cli import main
-from oddsymplectic.expressions import MAX_EXPONENT, MAX_NESTING
+from oddsymplectic.expressions import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_POWER_DEGREE,
+    MAX_POWER_TERMS,
+)
 
 SCALING = json.dumps(
     {
@@ -205,6 +210,31 @@ def test_exponent_past_the_bound_is_a_syntax_error_not_a_hang():
         assert proc.returncode == 2 and "exponent larger" in proc.stderr
     below = run_subprocess("bracket", f"x1^-{MAX_EXPONENT}", "th1")
     assert below.returncode == 0
+
+
+def test_powers_past_the_size_bounds_are_syntax_errors_not_hangs():
+    # Each exponent is within MAX_EXPONENT; the expansion is what is too big.
+    for text, message in (
+        ("((1+x1)^64)^64", f"more than {MAX_POWER_DEGREE}"),
+        ("(1+x1+x2+hbar)^64", f"more than {MAX_POWER_TERMS}"),
+    ):
+        proc = run_subprocess("bracket", text, "th1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+
+def test_powers_at_the_size_bounds_parse(capsys):
+    code, out, _ = run(capsys, "bracket", "((1+x1)^64)^4", "th1")
+    assert code == 0 and out.startswith(f"{MAX_POWER_DEGREE}*x1^{MAX_EXPONENT}*")
+    code, _, err = run(capsys, "bracket", "((1+x1)^64)^5", "th1")
+    assert code == 2 and "column 13" in err
+    # Degree 16 in four variables: C(20, 4) = 4845 monomials at most.
+    code, _, _ = run(capsys, "bracket", "(1+x1+x2+x3+hbar)^16", "th1", "--n", "3")
+    assert code == 0
+    code, _, err = run(capsys, "bracket", "(1+x1+x2+x3+hbar)^17", "th1", "--n", "3")
+    assert code == 2 and "5985 terms" in err
 
 
 def test_nesting_up_to_the_bound_and_repeated_signs_parse(capsys):

@@ -2,9 +2,11 @@
 
 import itertools
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from oddsymplectic import sampling
 from oddsymplectic.charts import (
     Density,
     Transition,
@@ -124,7 +126,7 @@ def test_bridge_images_line_two():
     assert semidensity_to_form(Density.semidensity(one(dchart))) == -xi1 * xi2
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_bridge_round_trips_on_monomials(n):
     fchart = Chart.forms(n)
     dchart = darboux_partner(fchart)
@@ -174,6 +176,23 @@ def test_de_rham_matches_laplacian_through_bridge():
             lhs = canonical_delta(form_to_semidensity(omega))
             rhs = form_to_semidensity(de_rham(omega))
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_bridge_on_random_forms_past_dimension_three(n):
+    # n = 4 is the first dimension with kernel sign (-1)^(n+1) = -1 and
+    # prefactor (-1)^(n(n-1)/2) = +1; n = 5 has both signs +1.
+    assert n <= sampling.MAX_DIMENSION
+    fchart = Chart.forms(n)
+    dchart = darboux_partner(fchart)
+    rng = Random(n)
+    for _ in range(10):
+        omega = sampling.random_superfunction(rng, fchart)
+        assert semidensity_to_form(form_to_semidensity(omega)) == omega
+        s = sampling.random_semidensity(rng, dchart)
+        assert form_to_semidensity(semidensity_to_form(s)) == s
+        lhs = canonical_delta(form_to_semidensity(omega))
+        assert lhs == form_to_semidensity(de_rham(omega))
 
 
 def test_de_rham_commutation_exhaustive_low_degree():

@@ -28,7 +28,7 @@ def test_same_seed_reproduces_everything():
 
 def test_dimension_policy_enforced():
     with pytest.raises(ValueError):
-        sampling.default_chart(4)
+        sampling.default_chart(sampling.MAX_DIMENSION + 1)
     with pytest.raises(ValueError):
         sampling.default_chart(0)
 

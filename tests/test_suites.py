@@ -2,7 +2,7 @@
 
 import pytest
 
-from oddsymplectic import brackets, charts, suites
+from oddsymplectic import brackets, charts, sampling, suites
 
 
 def test_unknown_suite_rejected():
@@ -19,6 +19,13 @@ def test_every_named_suite_passes():
         assert report.items
         for item in report.items:
             assert item.checked >= 1
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_all_suites_hold_up_to_the_dimension_cap(n):
+    assert n <= sampling.MAX_DIMENSION
+    report = suites.run_suite("all", n=n, seed=3, count=3)
+    assert report.passed, report.lines()
 
 
 def test_all_concatenates_the_named_suites():
