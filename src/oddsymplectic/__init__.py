@@ -17,7 +17,6 @@ from .brackets import (
     PoissonStructure,
     check_axioms,
     derived_bracket,
-    hamiltonian_apply,
     hamiltonian_vector_field,
     jacobi_defect,
     master_condition,
@@ -77,7 +76,6 @@ from .forms import (
     form_to_semidensity,
     forms_partner,
     hodge,
-    lie_along_multivector,
     one_form_action,
     restrict_to_lagrangian,
     semidensity_to_form,
@@ -91,7 +89,6 @@ from .laplacians import (
     delta_rho,
     delta_rho_squared,
     divergence,
-    even_modular_field,
     log_derivative_bracket,
     modular_hamiltonian,
     modular_operator,
@@ -126,7 +123,6 @@ __all__ = [
     # brackets
     "PoissonStructure",
     "odd_poisson_bracket",
-    "hamiltonian_apply",
     "hamiltonian_vector_field",
     "AxiomReport",
     "check_axioms",
@@ -145,7 +141,6 @@ __all__ = [
     "delta_change",
     "modular_hamiltonian",
     "modular_operator",
-    "even_modular_field",
     # charts, transitions, densities
     "Transition",
     "jacobian",
@@ -175,7 +170,6 @@ __all__ = [
     "hodge",
     "DivergenceReport",
     "divergence_correspondence",
-    "lie_along_multivector",
     "one_form_action",
     "star_product",
     "restrict_to_lagrangian",

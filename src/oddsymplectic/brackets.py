@@ -27,7 +27,6 @@ from .superalgebra import Chart, SuperFunction
 __all__ = [
     "PoissonStructure",
     "odd_poisson_bracket",
-    "hamiltonian_apply",
     "hamiltonian_vector_field",
     "AxiomReport",
     "check_axioms",
@@ -37,13 +36,6 @@ __all__ = [
     "derived_bracket",
     "master_condition",
 ]
-
-
-def _parity_of_generator(chart: Chart, name: str) -> int:
-    if name in chart._even_index:  # type: ignore[attr-defined]
-        return 0
-    chart.odd_index(name)
-    return 1
 
 
 @dataclass(frozen=True)
@@ -62,8 +54,8 @@ class PoissonStructure:
     def __post_init__(self) -> None:
         seen: set[str] = set()
         for u, v in self.pairs:
-            pu = _parity_of_generator(self.chart, u)
-            pv = _parity_of_generator(self.chart, v)
+            pu = self.chart.parity_of(u)
+            pv = self.chart.parity_of(v)
             if (pu + self.parity) % 2 != pv:
                 raise ParityViolation(
                     f"pair ({u!r}, {v!r}) violates the parity shift {self.parity}"
@@ -83,7 +75,12 @@ class PoissonStructure:
         return cls(chart, tuple(zip(chart.even_coords, chart.odd_coords)), 1)
 
     def bracket(self, f: SuperFunction, g: SuperFunction) -> SuperFunction:
-        """The bracket ``{f, g}``; no homogeneity assumptions on ``f``, ``g``."""
+        """The bracket ``{f, g}``; no homogeneity assumptions on ``f``, ``g``.
+
+        For :meth:`darboux_odd` this is the independent oracle for
+        :func:`odd_poisson_bracket`: it reaches the same bracket from the
+        conjugate pairs and their parities, with no Darboux-specific code.
+        """
         if f.chart != self.chart or g.chart != self.chart:
             raise ChartMismatch("bracket operands must live on the structure's chart")
         result = SuperFunction.zero(self.chart)
@@ -92,7 +89,7 @@ class PoissonStructure:
         for part in parts:
             pf = part.parity() or 0
             for u, v in self.pairs:
-                a = _parity_of_generator(self.chart, u)
+                a = self.chart.parity_of(u)
                 b = (a + eps) & 1
                 sign_uv = -1 if (a * (pf + a)) & 1 else 1
                 sign_vu = -1 if (a * b + b * (pf + b)) & 1 else 1
@@ -125,11 +122,6 @@ def odd_poisson_bracket(f: SuperFunction, g: SuperFunction) -> SuperFunction:
             result = result + f_odd.partial_even(x_name) * dg_dth
             result = result - f_odd.partial_odd(th_name) * dg_dx
     return result
-
-
-def hamiltonian_apply(f: SuperFunction, g: SuperFunction) -> SuperFunction:
-    """Apply the Hamiltonian derivation of ``f``: ``D_f g = {f, g}``."""
-    return odd_poisson_bracket(f, g)
 
 
 def hamiltonian_vector_field(f: SuperFunction) -> dict[str, SuperFunction]:
@@ -368,7 +360,7 @@ class CotangentStructure:
 
     def restrict_to_base(self, f: SuperFunction) -> SuperFunction:
         """Set all momenta to zero and land back on the base chart."""
-        even_momenta = [n for n in self.momentum_names if n in self.chart._even_index]  # type: ignore[attr-defined]
+        even_momenta = [n for n in self.momentum_names if self.chart.parity_of(n) == 0]
         odd_mask = 0
         for n in self.momentum_names:
             if n not in even_momenta:
@@ -396,14 +388,12 @@ class MasterHamiltonian:
         if S.parity() is None:
             raise ParityViolation("structure Hamiltonian must be parity-homogeneous")
         chart = self.ambient.chart
-        even_fibers = [
-            chart.even_index(n)
-            for n in self.ambient.momentum_names
-            if n in chart._even_index  # type: ignore[attr-defined]
-        ]
+        even_fibers = []
         odd_fiber_mask = 0
         for n in self.ambient.momentum_names:
-            if n not in chart._even_index:  # type: ignore[attr-defined]
+            if chart.parity_of(n) == 0:
+                even_fibers.append(chart.even_index(n))
+            else:
                 odd_fiber_mask |= 1 << chart.odd_index(n)
         for mask, coeff in S.terms.items():
             odd_deg = (mask & odd_fiber_mask).bit_count()

@@ -44,7 +44,7 @@ from .errors import (
     NotClosed,
     ParityViolation,
 )
-from .laplacians import delta0, log_derivative_bracket
+from .laplacians import VolumeForm, delta0, delta_rho
 from .scalar import ScalarLike
 from .superalgebra import Chart, SuperFunction
 
@@ -160,7 +160,7 @@ class Transition:
                 img = SuperFunction.generator(self.target, name)
             if img.chart != self.target:
                 raise ChartMismatch(f"image of {name!r} does not live on the target chart")
-            even = name in self.source._even_index  # type: ignore[attr-defined]
+            even = self.source.parity_of(name) == 0
             if even and not img.is_even():
                 raise ParityViolation(f"image of even coordinate {name!r} must be even")
             if not even and not (img.is_zero() or img.is_odd()):
@@ -178,12 +178,6 @@ class Transition:
     @classmethod
     def identity(cls, chart: Chart) -> "Transition":
         return cls(chart, chart, {})
-
-    @classmethod
-    def from_images(
-        cls, source: Chart, target: Chart, images: Mapping[str, SuperFunction]
-    ) -> "Transition":
-        return cls(source, target, dict(images))
 
     @classmethod
     def scaling(
@@ -381,14 +375,12 @@ def laplacian_conjugation_defect(
     """Defect of the coordinate-Laplacian transformation law.
 
     For a canonical transition with Berezinian ``B`` and ``g = f . T``:
-    ``(Delta_0 f) . T = Delta_0 g + (1/2) {log B, g}``; the returned value
-    is the difference of the two sides.
+    ``(Delta_0 f) . T = Delta_B g``, the odd Laplacian of ``g`` for the
+    volume ``B``; the returned value is the difference of the two sides.
     """
     g = transition.apply(f)
     lhs = transition.apply(delta0(f))
-    rhs = delta0(g) + log_derivative_bracket(berezinian(transition), g).scale(
-        Fraction(1, 2)
-    )
+    rhs = delta_rho(VolumeForm(transition.target, berezinian(transition)), g)
     return lhs - rhs
 
 

@@ -2,8 +2,11 @@
 
 Every subcommand maps to one library operation or one named check suite;
 inputs are textual expressions and JSON-serialized charts and transitions.
+Every chart, whether from ``--n``, ``--chart`` or a transition, holds at
+most :data:`~oddsymplectic.sampling.MAX_DIMENSION` generators in each block.
 Exit codes: 0 on success, 1 when an exact check fails, 2 on usage, syntax,
-or other input errors.
+or other input errors, 3 on an internal error (a bug, reported in one
+``internal error:`` line).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .master import (
     quantum_master_residual,
     semidensity_master_check,
 )
+from .sampling import MAX_DIMENSION
 from .superalgebra import Chart, SuperFunction
 from .suites import DEFAULT_COUNT, SUITE_NAMES, run_suite
 
@@ -48,6 +52,7 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 # -- input plumbing ------------------------------------------------------------------
@@ -61,17 +66,36 @@ def _load_json(argument: str) -> Any:
     return json.loads(text)
 
 
+def _bounded(chart: Chart) -> Chart:
+    """The chart itself, refused when a block has more than MAX_DIMENSION names."""
+    blocks = (
+        chart.even_coords,
+        chart.odd_coords,
+        chart.fiber_odds,
+        chart.external_odds,
+        chart.params,
+    )
+    if max(len(block) for block in blocks) > MAX_DIMENSION:
+        raise ValueError(
+            f"chart {chart.name!r} has a block of more than {MAX_DIMENSION} generators"
+        )
+    return chart
+
+
 def _resolve_chart(args: argparse.Namespace, *, fiber: bool = False) -> Chart:
     """The working chart: ``--chart`` JSON if given, else a standard one."""
     if getattr(args, "chart", None):
-        return chart_from_dict(_load_json(args.chart))
+        return _bounded(chart_from_dict(_load_json(args.chart)))
     if fiber:
         return Chart.forms(args.n)
     return Chart.darboux(args.n)
 
 
 def _resolve_transition(argument: str) -> Transition:
-    return transition_from_dict(_load_json(argument))
+    data = _load_json(argument)
+    _bounded(chart_from_dict(data["source"]))
+    _bounded(chart_from_dict(data["target"]))
+    return transition_from_dict(data)
 
 
 def _emit(args: argparse.Namespace, lines: Sequence[str], data: Any) -> None:
@@ -120,11 +144,12 @@ def _cmd_berezinian(args: argparse.Namespace) -> int:
 def _cmd_transform(args: argparse.Namespace) -> int:
     transition = _resolve_transition(args.transition)
     value = parse_expression(args.expr, transition.source)
-    weight = Fraction(args.weight)
-    if weight == 0:
+    if args.weight == 0:
         result = transition.apply(value)
     else:
-        moved = transform_density(Density(transition.source, value, weight), transition)
+        moved = transform_density(
+            Density(transition.source, value, args.weight), transition
+        )
         result = moved.coefficient
     _emit_superfunction(args, result)
     return EXIT_OK
@@ -221,10 +246,27 @@ def _positive(text: str) -> int:
     return value
 
 
+def _dimension(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_DIMENSION}")
+    return value
+
+
+def _weight(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser, *, chart: bool = True) -> None:
     if chart:
         parser.add_argument(
-            "--n", type=_positive, default=2, help="base dimension (default 2)"
+            "--n",
+            type=_dimension,
+            default=2,
+            help=f"base dimension, at most {MAX_DIMENSION} (default 2)",
         )
         parser.add_argument(
             "--chart",
@@ -275,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr", help="expression on the source chart")
     p.add_argument(
         "--weight",
+        type=_weight,
         default="0",
         help="density weight: 0 substitutes, 1/2 transports a semidensity, "
         "1 a volume (default 0)",
@@ -363,6 +406,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (json.JSONDecodeError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

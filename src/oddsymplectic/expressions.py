@@ -11,9 +11,10 @@ The textual grammar shared by the library and the command line:
 * literals are exact integers; rationals are written as quotients
   (``2/3``).  Decimal points are rejected;
 * parentheses and ``D(...)`` calls nest at most :data:`MAX_NESTING` deep,
-  an exponent's magnitude is at most :data:`MAX_EXPONENT`, and a power may
+  an exponent's magnitude is at most :data:`MAX_EXPONENT`, a power may
   reach total degree at most :data:`MAX_POWER_DEGREE` and at most
-  :data:`MAX_POWER_TERMS` monomials by the dense count; input past any of
+  :data:`MAX_POWER_TERMS` monomials by the dense count, and a product or
+  quotient at most :data:`MAX_PRODUCT_TERMS` term pairs; input past any of
   these bounds is an :class:`ExpressionSyntaxError`, not a crash or a
   computation that does not finish.
 
@@ -47,6 +48,7 @@ __all__ = [
     "MAX_NESTING",
     "MAX_POWER_DEGREE",
     "MAX_POWER_TERMS",
+    "MAX_PRODUCT_TERMS",
     "parse_expression",
     "format_superfunction",
     "format_scalar",
@@ -74,6 +76,14 @@ MAX_EXPONENT = 64
 # ``C(d + v, v)`` monomials, and expanding it costs about the square of that.
 MAX_POWER_DEGREE = 4 * MAX_EXPONENT
 MAX_POWER_TERMS = 5000
+
+# Bound on ``terms(a) * terms(b)`` for one ``a * b`` or ``a / b``, checked
+# before multiplying; ``terms`` counts the polynomial terms of every
+# numerator and denominator.  Bounded powers alone do not bound products:
+# ``(1+x1+x2+hbar)^24 * (1+x1+x2+hbar)^24`` multiplies 2926 by 2926 terms.
+# The cost is about linear in the pairs, and at this bound it is close to
+# that of the largest power allowed.
+MAX_PRODUCT_TERMS = 250_000
 
 
 # -- tokenizer ---------------------------------------------------------------------
@@ -179,9 +189,16 @@ class _Parser:
     def term(self) -> SuperFunction:
         value = self.factor()
         while self.current.kind == "punct" and self.current.text in "*/":
-            op = self.advance().text
+            op = self.advance()
             rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
+            pairs = _term_count(value) * _term_count(rhs)
+            if pairs > MAX_PRODUCT_TERMS:
+                raise ExpressionSyntaxError(
+                    f"product of {pairs} term pairs, more than {MAX_PRODUCT_TERMS}",
+                    op.line,
+                    op.column,
+                )
+            value = value * rhs if op.text == "*" else value / rhs
         return value
 
     def factor(self) -> SuperFunction:
@@ -263,6 +280,11 @@ class _Parser:
             )
         self.expect_punct(")")
         return value.derivative(name_token.text)
+
+
+def _term_count(f: SuperFunction) -> int:
+    """Polynomial terms over all numerators and denominators of ``f``."""
+    return sum(len(c.num.terms) + len(c.den.terms) for c in f.terms.values())
 
 
 def _power_size(base: SuperFunction, exponent: int) -> tuple[int, int]:
@@ -380,22 +402,12 @@ def format_scalar(scalar: Scalar, names: tuple[str, ...]) -> str:
     return f"({num})/({den})"
 
 
-def _even_names(chart: Chart) -> tuple[str, ...]:
-    return tuple(chart.even_coords) + tuple(chart.params)
-
-
-def _odd_names(chart: Chart) -> tuple[str, ...]:
-    return (
-        tuple(chart.odd_coords) + tuple(chart.fiber_odds) + tuple(chart.external_odds)
-    )
-
-
 def format_superfunction(f: SuperFunction) -> str:
     """Canonical text: odd monomials in mask order, coefficients canonical."""
     if f.is_zero():
         return "0"
-    evens = _even_names(f.chart)
-    odds = _odd_names(f.chart)
+    evens = f.chart.evens
+    odds = f.chart.odds
     rendered: list[str] = []
     for mask in sorted(f.terms):
         coeff = f.terms[mask]
@@ -442,8 +454,8 @@ def chart_from_dict(data: Mapping[str, Any]) -> Chart:
 
 
 def superfunction_to_dict(f: SuperFunction) -> dict[str, Any]:
-    evens = _even_names(f.chart)
-    odds = _odd_names(f.chart)
+    evens = f.chart.evens
+    odds = f.chart.odds
     terms = []
     for mask in sorted(f.terms):
         coeff = f.terms[mask]

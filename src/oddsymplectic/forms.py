@@ -16,20 +16,19 @@ and so that the two directions are mutually inverse and intertwine the de
 Rham differential with the coefficient Laplacian ``Delta_0``.
 
 The remaining operations ride on the bridge: divergence of multivector
-fields against a base volume, the Lie derivative along a multivector, the
-shift action of odd-valued one-forms, a square-root star product on forms,
-and restriction of a semidensity to the Lagrangian graph of a closed
-one-form.
+fields against a base volume, the shift action of odd-valued one-forms, a
+square-root star product on forms, and restriction of a semidensity to the
+Lagrangian graph of a closed one-form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .brackets import odd_poisson_bracket
-from .charts import Density, Transition, lie_derivative_density, transform_density
+from .charts import Density, Transition, transform_density
 from .errors import (
     ChartMismatch,
     InvalidTransition,
@@ -52,7 +51,6 @@ __all__ = [
     "hodge",
     "DivergenceReport",
     "divergence_correspondence",
-    "lie_along_multivector",
     "one_form_action",
     "star_product",
     "restrict_to_lagrangian",
@@ -62,20 +60,21 @@ __all__ = [
 # -- chart plumbing ---------------------------------------------------------------------
 
 
-def _base_dimension_of_forms(chart: Chart) -> int:
+def _base_dimension(chart: Chart, *, forms: bool) -> int:
+    """The base dimension of a forms chart or, with ``forms=False``, a Darboux one.
+
+    A forms chart has fibers ``xi1..xin`` and no ``th`` block; a Darboux
+    chart has ``th1..thn`` and no fiber block.  Any other chart raises.
+    """
     n = len(chart.even_coords)
-    expected = tuple(f"xi{i}" for i in range(1, n + 1))
-    if chart.odd_coords or chart.fiber_odds != expected:
+    ths = tuple(f"th{i}" for i in range(1, n + 1))
+    xis = tuple(f"xi{i}" for i in range(1, n + 1))
+    blocks = (chart.odd_coords, chart.fiber_odds)
+    if forms and blocks != ((), xis):
         raise ChartMismatch(
             "expected a fiber-odd chart with generators xi1..xin and no th block"
         )
-    return n
-
-
-def _base_dimension_of_darboux(chart: Chart) -> int:
-    n = len(chart.even_coords)
-    expected = tuple(f"th{i}" for i in range(1, n + 1))
-    if chart.fiber_odds or chart.odd_coords != expected:
+    if not forms and blocks != (ths, ()):
         raise ChartMismatch(
             "expected a Darboux chart with generators th1..thn and no fiber block"
         )
@@ -84,37 +83,16 @@ def _base_dimension_of_darboux(chart: Chart) -> int:
 
 def darboux_partner(forms_chart: Chart) -> Chart:
     """The Darboux chart conjugate to a fiber-odd chart (same base, th block)."""
-    n = _base_dimension_of_forms(forms_chart)
-    return Chart(
-        name=forms_chart.name,
-        even_coords=forms_chart.even_coords,
-        odd_coords=tuple(f"th{i}" for i in range(1, n + 1)),
-        external_odds=forms_chart.external_odds,
-        params=forms_chart.params,
-    )
+    n = _base_dimension(forms_chart, forms=True)
+    ths = tuple(f"th{i}" for i in range(1, n + 1))
+    return replace(forms_chart, odd_coords=ths, fiber_odds=())
 
 
 def forms_partner(darboux_chart: Chart) -> Chart:
     """The fiber-odd chart conjugate to a Darboux chart (same base, xi block)."""
-    n = _base_dimension_of_darboux(darboux_chart)
-    return Chart(
-        name=darboux_chart.name,
-        even_coords=darboux_chart.even_coords,
-        fiber_odds=tuple(f"xi{i}" for i in range(1, n + 1)),
-        external_odds=darboux_chart.external_odds,
-        params=darboux_chart.params,
-    )
-
-
-def _doubled_chart(chart: Chart, n: int) -> Chart:
-    return Chart(
-        name=chart.name,
-        even_coords=chart.even_coords,
-        odd_coords=tuple(f"th{i}" for i in range(1, n + 1)),
-        fiber_odds=tuple(f"xi{i}" for i in range(1, n + 1)),
-        external_odds=chart.external_odds,
-        params=chart.params,
-    )
+    n = _base_dimension(darboux_chart, forms=False)
+    xis = tuple(f"xi{i}" for i in range(1, n + 1))
+    return replace(darboux_chart, odd_coords=(), fiber_odds=xis)
 
 
 def _kernel(doubled: Chart, n: int, sign: int) -> SuperFunction:
@@ -142,7 +120,7 @@ def form_degree_component(omega: SuperFunction, k: int) -> SuperFunction:
 
 def de_rham(omega: SuperFunction) -> SuperFunction:
     """The exterior differential ``sum_i xi^i d/dx^i`` (squares to zero)."""
-    n = _base_dimension_of_forms(omega.chart)
+    n = _base_dimension(omega.chart, forms=True)
     out = SuperFunction.zero(omega.chart)
     for i in range(n):
         xi = SuperFunction.generator(omega.chart, f"xi{i + 1}")
@@ -153,13 +131,14 @@ def de_rham(omega: SuperFunction) -> SuperFunction:
 def form_to_semidensity(omega: SuperFunction) -> Density:
     """Turn a form into the semidensity with the pinned monomial images."""
     fchart = omega.chart
-    n = _base_dimension_of_forms(fchart)
-    doubled = _doubled_chart(fchart, n)
+    dchart = darboux_partner(fchart)
+    n = len(dchart.odd_coords)
+    doubled = replace(dchart, fiber_odds=fchart.fiber_odds)
     c = 1 if n % 2 else -1  # (-1)^(n+1)
     prefactor = -1 if (n * (n - 1) // 2) % 2 else 1
     integrand = _kernel(doubled, n, c) * omega.retarget(doubled)
     integrated = integrand.berezin_integral(f"xi{k}" for k in range(1, n + 1))
-    coefficient = integrated.scale(prefactor).retarget(darboux_partner(fchart))
+    coefficient = integrated.scale(prefactor).retarget(dchart)
     return Density.semidensity(coefficient)
 
 
@@ -168,12 +147,13 @@ def semidensity_to_form(density: Density) -> SuperFunction:
     if density.weight != Fraction(1, 2):
         raise ValueError("the form bridge applies to semidensities (weight 1/2)")
     dchart = density.chart
-    n = _base_dimension_of_darboux(dchart)
-    doubled = _doubled_chart(dchart, n)
+    fchart = forms_partner(dchart)
+    n = len(fchart.fiber_odds)
+    doubled = replace(dchart, fiber_odds=fchart.fiber_odds)
     c = -1 if n % 2 else 1  # (-1)^n
     integrand = _kernel(doubled, n, c) * density.coefficient.retarget(doubled)
     integrated = integrand.berezin_integral(f"th{k}" for k in range(1, n + 1))
-    return integrated.retarget(forms_partner(dchart))
+    return integrated.retarget(fchart)
 
 
 # -- base densities and multivector divergence --------------------------------------------
@@ -241,7 +221,7 @@ def classical_divergence(field: SuperFunction, sigma: BaseDensity) -> SuperFunct
     s < j}} d/dx^j (sigma T_{S + j})``.
     """
     chart = field.chart
-    n = _base_dimension_of_darboux(chart)
+    n = _base_dimension(chart, forms=False)
     if sigma.chart != chart:
         raise ChartMismatch("field and base volume must share a chart")
     if sigma.coefficient.odd_degree():
@@ -287,11 +267,6 @@ def divergence_correspondence(field: SuperFunction, sigma: BaseDensity) -> Diver
 # -- actions on semidensities --------------------------------------------------------------
 
 
-def lie_along_multivector(density: Density, f: SuperFunction) -> Density:
-    """Lie derivative of a semidensity along a multivector field."""
-    return lie_derivative_density(f, density)
-
-
 def one_form_action(components: Sequence[SuperFunction], density: Density) -> Density:
     """The shift action ``th_i -> th_i + a_i`` of an odd-valued one-form.
 
@@ -300,7 +275,7 @@ def one_form_action(components: Sequence[SuperFunction], density: Density) -> De
     an abelian supergroup acting on semidensities.
     """
     chart = density.chart
-    n = _base_dimension_of_darboux(chart)
+    n = _base_dimension(chart, forms=False)
     if len(components) != n:
         raise InvalidTransition("need one shift component per odd coordinate")
     images: dict[str, SuperFunction] = {}
@@ -358,7 +333,7 @@ def restrict_to_lagrangian(
     semidensity induces on that Lagrangian surface.
     """
     chart = density.chart
-    n = _base_dimension_of_darboux(chart)
+    n = _base_dimension(chart, forms=False)
     shift = Transition.shift_one_form(chart, chart, list(alpha))
     moved = transform_density(density, shift)
     form = semidensity_to_form(moved)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brackets import PoissonStructure, odd_poisson_bracket
+from .brackets import PoissonStructure
 from .errors import ChartMismatch, NonInvertibleBody, ParityViolation
 from .superalgebra import Chart, SuperFunction
 
@@ -33,7 +33,6 @@ __all__ = [
     "delta_change",
     "modular_hamiltonian",
     "modular_operator",
-    "even_modular_field",
 ]
 
 
@@ -112,12 +111,16 @@ def delta_rho_squared(volume: VolumeForm, f: SuperFunction) -> SuperFunction:
 
 
 def divergence(volume: VolumeForm, f: SuperFunction) -> SuperFunction:
-    """Divergence of the Hamiltonian field of ``f``: ``2 (-1)^{p(f)} Delta_rho f``.
+    """Divergence ``div_rho D_f`` of the Hamiltonian field of ``f``.
 
+    Computed from :func:`modular_operator` for the canonical odd bracket, as
+    ``2 (-1)^{p(f)}`` times it, and not from :func:`delta_rho`; the identity
+    ``div_rho D_f = 2 (-1)^{p(f)} Delta_rho f`` is therefore a real check.
     Requires homogeneous ``f`` (the sign depends on its parity).
     """
     p = f.parity_or_raise("divergence argument")
-    out = delta_rho(volume, f).scale(2)
+    structure = PoissonStructure.darboux_odd(volume.chart)
+    out = modular_operator(structure, volume.coefficient, f).scale(2)
     return -out if p else out
 
 
@@ -155,9 +158,12 @@ def modular_operator(
 
         div_rho X = invert(rho) * sum_A (-1)^{p(z^A)(p(X)+1)} d_A(rho X^A).
 
-    For the canonical odd bracket this operator *is* ``Delta_rho``; for an
-    even bracket the second-order part cancels and a first-order (modular)
-    vector field remains.  Mixed-parity ``f`` is handled by linearity.
+    For the canonical odd bracket this operator *is* ``Delta_rho``, and it
+    is the independent oracle for :func:`delta_rho`: it differentiates
+    ``rho X^A`` along every generator instead of expanding ``{log rho, f}``.
+    For an even bracket the second-order part cancels and a first-order
+    (modular) vector field remains.  Mixed-parity ``f`` is handled by
+    linearity.
     """
     chart = structure.chart
     if rho.chart != chart or f.chart != chart:
@@ -177,7 +183,7 @@ def modular_operator(
         p_field = (pf + structure.parity) & 1
         acc = SuperFunction.zero(chart)
         for name in names:
-            p_gen = 0 if name in chart._even_index else 1  # type: ignore[attr-defined]
+            p_gen = chart.parity_of(name)
             component = structure.bracket(part, SuperFunction.generator(chart, name))
             if component.is_zero():
                 continue
@@ -188,17 +194,3 @@ def modular_operator(
         acc = (rho_inv * acc).scale(Fraction(1, 2))
         result = result + (-acc if pf else acc)
     return result
-
-
-def even_modular_field(
-    structure: PoissonStructure, rho: SuperFunction, f: SuperFunction
-) -> SuperFunction:
-    """The modular vector field of an even bracket applied to ``f``.
-
-    This is :func:`modular_operator` restricted to even structures, where it
-    is first order (a derivation) because the naive second-order part
-    cancels against the bracket's antisymmetry.
-    """
-    if structure.parity & 1:
-        raise ParityViolation("the modular vector field is for even brackets")
-    return modular_operator(structure, rho, f)

@@ -40,14 +40,6 @@ def _nonzero_coefficient(rng: Random) -> int:
     return rng.choice(_NONZERO)
 
 
-def _odd_names(chart: Chart) -> tuple[str, ...]:
-    return (
-        tuple(chart.odd_coords)
-        + tuple(chart.fiber_odds)
-        + tuple(chart.external_odds)
-    )
-
-
 def random_even_monomial(
     rng: Random, chart: Chart, degree: int = MAX_DEGREE
 ) -> SuperFunction:
@@ -78,35 +70,34 @@ def random_superfunction(
     max_terms: int = 4,
 ) -> SuperFunction:
     """A random function; ``parity`` restricts to homogeneous terms."""
-    odds = _odd_names(chart)
     counts = [
         k
-        for k in range(len(odds) + 1)
+        for k in range(chart.nodds + 1)
         if parity is None or k % 2 == parity % 2
     ]
     if not counts:
         raise ValueError("the chart has no odd generators of the requested parity")
-    result = SuperFunction.zero(chart)
-    for _ in range(rng.randint(1, max_terms)):
-        term = random_even_monomial(rng, chart, degree)
-        for name in rng.sample(odds, rng.choice(counts)):
-            term = term * SuperFunction.generator(chart, name)
-        result = result + term.scale(_nonzero_coefficient(rng))
-    return result
+    return _random_terms(rng, chart, degree, counts, max_terms)
 
 
 def random_nilpotent_even(
     rng: Random, chart: Chart, degree: int = MAX_DEGREE, max_terms: int = 3
 ) -> SuperFunction:
     """An even function with zero body (every term carries odd factors)."""
-    odds = _odd_names(chart)
-    counts = [k for k in range(2, len(odds) + 1, 2)]
+    counts = [k for k in range(2, chart.nodds + 1, 2)]
     if not counts:
         raise ValueError("need at least two odd generators for a nilpotent even term")
+    return _random_terms(rng, chart, degree, counts, max_terms)
+
+
+def _random_terms(
+    rng: Random, chart: Chart, degree: int, counts: Sequence[int], max_terms: int
+) -> SuperFunction:
+    """A sum of random terms, each with a number of odd factors from ``counts``."""
     result = SuperFunction.zero(chart)
     for _ in range(rng.randint(1, max_terms)):
         term = random_even_monomial(rng, chart, degree)
-        for name in rng.sample(odds, rng.choice(counts)):
+        for name in rng.sample(chart.odds, rng.choice(counts)):
             term = term * SuperFunction.generator(chart, name)
         result = result + term.scale(_nonzero_coefficient(rng))
     return result
@@ -134,7 +125,7 @@ def random_volume(
             square = random_even_monomial(rng, chart, degree=1)
             square = square * square
             coefficient = coefficient * (SuperFunction.one(chart) + square).invert()
-            if len(_odd_names(chart)) >= 2:
+            if chart.nodds >= 2:
                 coefficient = coefficient + random_nilpotent_even(rng, chart, degree)
         else:
             coefficient = coefficient + random_superfunction(rng, chart, degree, parity=0)

@@ -20,6 +20,22 @@ __all__ = ["Scalar", "ScalarLike"]
 ScalarLike = Union["Scalar", Polynomial, GaussianRational, Fraction, int]
 
 
+def _normalise(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Scale a fraction in lowest terms to denominator one or a lex-monic one."""
+    if num.is_zero():
+        return num, Polynomial.one(num.nvars)
+    if den.is_constant():
+        c = den.constant_value()
+        if c != 1:
+            num = num.scale(c.inverse())
+        return num, Polynomial.one(num.nvars)
+    _, lc = den.leading()
+    if lc != 1:
+        inv = lc.inverse()
+        return num.scale(inv), den.scale(inv)
+    return num, den
+
+
 class Scalar:
     """A rational function over Q(i) in a fixed number of even variables."""
 
@@ -35,30 +51,14 @@ class Scalar:
             raise ValueError("numerator and denominator over different variable sets")
         if den.is_zero():
             raise ZeroDivisionError("scalar with zero denominator")
-        if num.is_zero():
-            self.num = num
-            self.den = Polynomial.one(num.nvars)
-            return
-        if not den.is_constant():
+        if not num.is_zero() and not den.is_constant():
             g = Polynomial.gcd(num, den)
             if not (g.is_constant() and g.constant_value() == 1):
                 num_q = num.divide_exact(g)
                 den_q = den.divide_exact(g)
                 assert num_q is not None and den_q is not None
                 num, den = num_q, den_q
-        if den.is_constant():
-            c = den.constant_value()
-            if c != 1:
-                num = num.scale(c.inverse())
-            den = Polynomial.one(num.nvars)
-        else:
-            _, lc = den.leading()
-            if lc != 1:
-                inv = lc.inverse()
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.num = num
-        self.den = den
+        self.num, self.den = _normalise(num, den)
 
     # -- constructors --------------------------------------------------------
 
@@ -70,24 +70,7 @@ class Scalar:
         ``den`` share no nonconstant factor.
         """
         out = object.__new__(cls)
-        if num.is_zero():
-            out.num = num
-            out.den = Polynomial.one(num.nvars)
-            return out
-        if den.is_constant():
-            c = den.constant_value()
-            if c != 1:
-                num = num.scale(c.inverse())
-            out.num = num
-            out.den = Polynomial.one(num.nvars)
-            return out
-        _, lc = den.leading()
-        if lc != 1:
-            inv = lc.inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
-        out.num = num
-        out.den = den
+        out.num, out.den = _normalise(num, den)
         return out
 
     @classmethod

@@ -16,7 +16,7 @@ equality of values is equality of representations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -170,26 +170,12 @@ class Chart:
     def with_externals(self, *names: str) -> "Chart":
         """A copy of this chart with extra external odd constants appended."""
         missing = tuple(n for n in names if n not in self.external_odds)
-        return Chart(
-            name=self.name,
-            even_coords=self.even_coords,
-            odd_coords=self.odd_coords,
-            fiber_odds=self.fiber_odds,
-            external_odds=self.external_odds + missing,
-            params=self.params,
-        )
+        return replace(self, external_odds=self.external_odds + missing)
 
     def with_params(self, *names: str) -> "Chart":
         """A copy of this chart with extra even parameters appended."""
         missing = tuple(n for n in names if n not in self.params)
-        return Chart(
-            name=self.name,
-            even_coords=self.even_coords,
-            odd_coords=self.odd_coords,
-            fiber_odds=self.fiber_odds,
-            external_odds=self.external_odds,
-            params=self.params + missing,
-        )
+        return replace(self, params=self.params + missing)
 
     # -- lookups -----------------------------------------------------------------
 
@@ -215,6 +201,14 @@ class Chart:
 
     def has_generator(self, name: str) -> bool:
         return name in self._even_index or name in self._odd_index  # type: ignore[attr-defined]
+
+    def parity_of(self, name: str) -> int:
+        """0 for an even generator, 1 for an odd one; unknown names raise."""
+        if name in self._even_index:  # type: ignore[attr-defined]
+            return 0
+        if name in self._odd_index:  # type: ignore[attr-defined]
+            return 1
+        raise UnknownGenerator(f"{name!r} is not a generator of chart {self.name!r}")
 
     def kind_of_odd(self, bit: int) -> OddKind:
         if bit < len(self.odd_coords):
@@ -718,14 +712,10 @@ class SuperFunction:
                 split.setdefault(k, {})[mask] = part
         return {k: SuperFunction(self.chart, t) for k, t in split.items()}
 
-    def retarget(self, target: Chart, rename: Mapping[str, str] | None = None) -> "SuperFunction":
-        """Transport to another chart by generator name (or a rename map).
+    def retarget(self, target: Chart) -> "SuperFunction":
+        """Transport to another chart by generator name.
 
         Purely structural: every generator this function actually uses must
-        exist (under the rename map) with the same parity in the target.
+        exist with the same parity in the target.
         """
-        images: dict[str, SuperFunction] = {}
-        if rename:
-            for old, new in rename.items():
-                images[old] = SuperFunction.generator(target, new)
-        return self.substitute(images, target)
+        return self.substitute({}, target)

@@ -8,7 +8,6 @@ from oddsymplectic.brackets import (
     PoissonStructure,
     check_axioms,
     derived_bracket,
-    hamiltonian_apply,
     hamiltonian_vector_field,
     jacobi_defect,
     master_condition,
@@ -63,7 +62,7 @@ def test_even_self_bracket_can_survive():
 def test_hamiltonian_derivation_examples(c2):
     x1, x2, th1, th2 = gens(c2, "x1", "x2", "th1", "th2")
     # D_{th_1} x^1 = {th_1, x^1} = -1
-    assert hamiltonian_apply(th1, x1) == -SuperFunction.one(c2)
+    assert odd_poisson_bracket(th1, x1) == -SuperFunction.one(c2)
     # D_{th_1 th_2}: x^1 -> th_2, x^2 -> -th_1, th_i -> 0
     q = th1 * th2
     field = hamiltonian_vector_field(q)

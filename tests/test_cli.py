@@ -9,14 +9,16 @@ from pathlib import Path
 import pytest
 
 import oddsymplectic
-from oddsymplectic import brackets
+from oddsymplectic import brackets, expressions
 from oddsymplectic.cli import main
 from oddsymplectic.expressions import (
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_POWER_DEGREE,
     MAX_POWER_TERMS,
+    MAX_PRODUCT_TERMS,
 )
+from oddsymplectic.sampling import MAX_DIMENSION
 
 SCALING = json.dumps(
     {
@@ -176,15 +178,70 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "odd" in err
 
 
-def run_subprocess(*argv):
+def run_python(*argv):
     env = dict(os.environ, PYTHONPATH=str(Path(oddsymplectic.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "oddsymplectic", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def run_subprocess(*argv):
+    return run_python("-m", "oddsymplectic", *argv)
+
+
+def test_weight_that_is_no_rational_is_a_usage_error():
+    for weight in ("1/0", "half"):
+        proc = run_subprocess("transform", "--weight", weight, SCALING, "x1")
+        assert proc.returncode == 2
+        assert "error: argument --weight" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_internal_error_exits_three_with_one_line():
+    script = "\n".join(
+        (
+            "import sys",
+            "from oddsymplectic import cli",
+            "def broken(f, g):",
+            "    raise RuntimeError('planted failure')",
+            "cli.odd_poisson_bracket = broken",
+            "sys.exit(cli.main(['bracket', 'x1', 'th1']))",
+        )
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "internal error: RuntimeError('planted failure')\n"
+
+
+def test_charts_past_the_dimension_cap_are_refused():
+    def chart(evens, externals=()):
+        return {"name": "C", "evens": evens, "odds": ["th1"], "externals": list(externals)}
+
+    big = [f"x{i}" for i in range(1, MAX_DIMENSION + 2)]
+    transition = {"source": chart(big), "target": chart(big), "images": {}}
+    many_externals = {
+        "source": chart(["x1"], externals=[f"e{i}" for i in range(MAX_DIMENSION + 1)]),
+        "target": chart(["x1"]),
+        "images": {},
+    }
+    for argv in (
+        ("bracket", "x1", "th1", "--n", "20000"),
+        ("bracket", "x1", "th1", "--n", str(MAX_DIMENSION + 1)),
+        ("bracket", "x1", "th1", "--chart", json.dumps(chart(big))),
+        ("berezinian", json.dumps(transition)),
+        ("berezinian", json.dumps(many_externals)),
+    ):
+        proc = run_subprocess(*argv)
+        assert proc.returncode == 2, argv
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert str(MAX_DIMENSION) in proc.stderr
+    at_cap = run_subprocess("bracket", "x1", "th1", "--n", str(MAX_DIMENSION))
+    assert at_cap.returncode == 0 and at_cap.stdout == "1\n"
 
 
 def test_deep_nesting_is_a_syntax_error_not_a_crash():
@@ -223,6 +280,27 @@ def test_powers_past_the_size_bounds_are_syntax_errors_not_hangs():
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+
+
+def test_products_past_the_bound_are_syntax_errors_not_hangs():
+    # Each factor is a power within the bounds, 2925 terms; their product
+    # used to expand for tens of seconds.
+    proc = run_subprocess("bracket", "(1+x1+x2+hbar)^24*(1+x1+x2+hbar)^24", "th1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert f"more than {MAX_PRODUCT_TERMS}" in proc.stderr
+
+
+def test_products_at_the_bound_parse(capsys, monkeypatch):
+    # Terms count numerators and denominators: (1+x1) over 1 counts three.
+    monkeypatch.setattr(expressions, "MAX_PRODUCT_TERMS", 9)
+    code, out, _ = run(capsys, "bracket", "(1+x1)*(1+x2)", "th1")
+    assert code == 0 and out == "x2 + 1"
+    for text in ("(1+x1+x2)*(1+x1)", "(1+x1+x2)/(1+x1)"):
+        code, _, err = run(capsys, "bracket", text, "th1")
+        assert code == 2 and "product of 12 term pairs, more than 9" in err
+        assert "column 10" in err
 
 
 def test_powers_at_the_size_bounds_parse(capsys):

@@ -13,6 +13,7 @@ from oddsymplectic.charts import (
     canonical_delta,
     exponentiate_hamiltonian,
     is_symplectomorphism,
+    lie_derivative_density,
     transform_density,
 )
 from oddsymplectic.errors import (
@@ -33,7 +34,6 @@ from oddsymplectic.forms import (
     form_to_semidensity,
     forms_partner,
     hodge,
-    lie_along_multivector,
     one_form_action,
     restrict_to_lagrangian,
     semidensity_to_form,
@@ -341,13 +341,13 @@ def test_cartan_identity_matches_lie_derivative():
     for omega in forms:
         for field in odd_fields:
             lie = semidensity_to_form(
-                lie_along_multivector(form_to_semidensity(omega), field)
+                lie_derivative_density(field, form_to_semidensity(omega))
             )
             cartan = de_rham(interior(field, omega)) + interior(field, de_rham(omega))
             assert lie == cartan
         for field in even_fields:
             lie = semidensity_to_form(
-                lie_along_multivector(form_to_semidensity(omega), field)
+                lie_derivative_density(field, form_to_semidensity(omega))
             )
             cartan = de_rham(interior(field, omega)) - interior(field, de_rham(omega))
             assert lie == cartan
@@ -357,7 +357,7 @@ def test_lie_along_unit_field_is_base_derivative():
     dchart = Chart.darboux(1)
     x1, th1 = gens(dchart, "x1", "th1")
     s = Density.semidensity(x1 * x1 * x1 + x1 * th1)
-    moved = lie_along_multivector(s, th1)
+    moved = lie_derivative_density(th1, s)
     assert moved.coefficient == s.coefficient.partial_even("x1")
 
 

@@ -1,4 +1,4 @@
-"""Gcd and exact division over Q(i), checked against sympy as an oracle.
+"""Gcd, exact division and the Scalar normal form, checked against sympy.
 
 Polynomials in one to three variables with Gaussian-rational coefficients are
 generated with a planted common factor.  The oracle works in ``QQ_I``,
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oddsymplectic.gaussian import GaussianRational
 from oddsymplectic.poly import Polynomial
+from oddsymplectic.scalar import Scalar
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -87,3 +88,20 @@ def test_prs_fallback_agrees_with_the_heuristic(polys):
         fallback = Polynomial.gcd(a, b)
     assert fallback == expected
     assert _to_sympy(fallback) == _lex_monic_gcd(a, b)
+
+
+@SETTINGS
+@given(_planted())
+def test_scalar_normal_form_matches_sympy_cancel(polys):
+    u, v, w = polys
+    reduced = Scalar(u * v, u * w)
+    num, den = _to_sympy(u * v).cancel(_to_sympy(u * w), include=True)
+    # Lowest terms with a lex-monic denominator, as sympy's cancel gives it.
+    assert sympy.gcd(_to_sympy(reduced.num), _to_sympy(reduced.den)).is_ground
+    assert reduced.den.leading()[1] == 1
+    assert _to_sympy(reduced.den) == den.monic()
+    assert _to_sympy(reduced.num) == num.quo_ground(den.LC())
+    # The same value built by arithmetic, which skips the gcd where it can,
+    # has the same fields.
+    for same in (Scalar(v) / Scalar(w), (Scalar(v) + Scalar(w)) / Scalar(w) - 1):
+        assert (same.num, same.den) == (reduced.num, reduced.den)

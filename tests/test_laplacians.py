@@ -14,7 +14,6 @@ from oddsymplectic.laplacians import (
     delta_rho,
     delta_rho_squared,
     divergence,
-    even_modular_field,
     log_derivative_bracket,
     modular_hamiltonian,
     modular_operator,
@@ -116,14 +115,16 @@ def test_bracket_preservation(c2):
 
 
 def test_divergence_matches_laplacian(c2):
-    x1, th1, th2 = gens(c2, "x1", "th1", "th2")
-    rho = VolumeForm(c2, SuperFunction.one(c2))
-    f = x1 * th1  # odd
-    assert divergence(rho, f) == delta_rho(rho, f).scale(-2)
-    g = th1 * th2  # even
-    assert divergence(rho, g) == delta_rho(rho, g).scale(2)
-    with pytest.raises(ParityViolation):
-        divergence(rho, x1 + th1)
+    x1, x2, th1, th2 = gens(c2, "x1", "x2", "th1", "th2")
+    one = SuperFunction.one(c2)
+    for coefficient in (one, (x1 * x1 + 1).invert() * (one + x2 * th1 * th2)):
+        rho = VolumeForm(c2, coefficient)
+        for f in (x1 * th1, x2 * x2 * th1 + th2):  # odd
+            assert divergence(rho, f) == delta_rho(rho, f).scale(-2)
+        for g in (th1 * th2, x1 * x2 + x1 * th1 * th2):  # even
+            assert divergence(rho, g) == delta_rho(rho, g).scale(2)
+        with pytest.raises(ParityViolation):
+            divergence(rho, x1 + th1)
 
 
 def test_delta_change_is_log_bracket(c2):
@@ -187,13 +188,13 @@ def test_even_modular_field_is_first_order():
     # Liouville: with rho = 1 every Hamiltonian field is divergence free
     one = SuperFunction.one(chart)
     for f in (z, p, z * p, z * z + p):
-        assert even_modular_field(cot.structure, one, f).is_zero()
+        assert modular_operator(cot.structure, one, f).is_zero()
     # first order: derivation property on products
     samples = [z, p, z * p + z, p * p]
     for f in samples:
         for g in samples:
-            lhs = even_modular_field(cot.structure, rho, f * g)
-            rhs = even_modular_field(cot.structure, rho, f) * g + f * even_modular_field(
+            lhs = modular_operator(cot.structure, rho, f * g)
+            rhs = modular_operator(cot.structure, rho, f) * g + f * modular_operator(
                 cot.structure, rho, g
             )
             assert lhs == rhs
@@ -204,13 +205,7 @@ def test_even_modular_field_is_first_order():
             (rinv * rho.partial_even("pz1")) * f.partial_even("z1")
             - (rinv * rho.partial_even("z1")) * f.partial_even("pz1")
         ).scale(Fraction(1, 2))
-        assert even_modular_field(cot.structure, rho, f) == expected
-
-
-def test_even_modular_field_rejects_odd_structures(c2):
-    struct = PoissonStructure.darboux_odd(c2)
-    with pytest.raises(ParityViolation):
-        even_modular_field(struct, SuperFunction.one(c2), SuperFunction.generator(c2, "x1"))
+        assert modular_operator(cot.structure, rho, f) == expected
 
 
 def test_gaussian_volume_stays_on_the_heuristic_gcd(c2, monkeypatch):
