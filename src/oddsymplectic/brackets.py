@@ -29,6 +29,7 @@ __all__ = [
     "odd_poisson_bracket",
     "hamiltonian_vector_field",
     "AxiomReport",
+    "MAX_FAILURES",
     "check_axioms",
     "jacobi_defect",
     "CotangentStructure",
@@ -36,6 +37,9 @@ __all__ = [
     "derived_bracket",
     "master_condition",
 ]
+
+# Failure messages an axiom check collects before it stops.
+MAX_FAILURES = 16
 
 
 @dataclass(frozen=True)
@@ -207,13 +211,13 @@ def check_axioms(
     *,
     functions: Sequence[SuperFunction] | None = None,
     triples: Iterable[tuple[SuperFunction, SuperFunction, SuperFunction]] | None = None,
-    max_failures: int = 16,
 ) -> AxiomReport:
     """Verify parity, graded antisymmetry, Leibniz, and graded Jacobi.
 
     Either pass ``functions`` (every ordered triple of the family is checked,
     with pairwise brackets and products computed once) or an explicit
-    iterable of ``triples``.  All inputs must be parity-homogeneous.
+    iterable of ``triples``.  All inputs must be parity-homogeneous.  The
+    check stops after :data:`MAX_FAILURES` failure messages.
     """
     report = AxiomReport(parity=eps & 1)
     eps = eps & 1
@@ -227,7 +231,7 @@ def check_axioms(
         for i, f in enumerate(fns):
             for j, g in enumerate(fns):
                 for k, h in enumerate(fns):
-                    if len(report.failures) >= max_failures:
+                    if len(report.failures) >= MAX_FAILURES:
                         report.failures.append("... further failures suppressed")
                         return report
                     _check_one_triple(
@@ -250,7 +254,7 @@ def check_axioms(
         return report
 
     for idx, (f, g, h) in enumerate(triples):
-        if len(report.failures) >= max_failures:
+        if len(report.failures) >= MAX_FAILURES:
             report.failures.append("... further failures suppressed")
             break
         fg = bracket(f, g)

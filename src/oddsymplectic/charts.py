@@ -64,11 +64,15 @@ __all__ = [
     "lie_derivative_density",
     "lie_commutator_defect",
     "exponentiate_hamiltonian",
+    "MAX_FLOW_STEPS",
     "NormalityReport",
     "is_normal",
 ]
 
 Matrix = list[list[SuperFunction]]
+
+# Terms of a flow's exponential series before it is reported as not nilpotent.
+MAX_FLOW_STEPS = 50
 
 
 # -- small exact linear algebra over the even part of the algebra -------------------
@@ -511,17 +515,14 @@ def lie_commutator_defect(f: SuperFunction, density: Density) -> Density:
 
 
 def exponentiate_hamiltonian(
-    q: SuperFunction,
-    time: SuperFunction | ScalarLike,
-    *,
-    max_steps: int = 50,
+    q: SuperFunction, time: SuperFunction | ScalarLike
 ) -> Transition:
     """The time-``t`` flow of the Hamiltonian derivation of ``q``.
 
     Images are the exponential series ``sum_k (t^k / k!) D_q^k(z)``.  The
     combined generator must be odd (``p(t) + p(q) = 1``) so the flow is a
     parity-preserving coordinate change; the series must terminate within
-    ``max_steps`` applications (nilpotency), else
+    :data:`MAX_FLOW_STEPS` applications (nilpotency), else
     :class:`~oddsymplectic.errors.NonTerminatingFlow` is raised.
     """
     chart = q.chart
@@ -544,7 +545,7 @@ def exponentiate_hamiltonian(
         total = term
         t_power = SuperFunction.one(chart)
         factorial = 1
-        for k in range(1, max_steps + 1):
+        for k in range(1, MAX_FLOW_STEPS + 1):
             term = odd_poisson_bracket(q, term)
             if term.is_zero():
                 break
@@ -555,7 +556,7 @@ def exponentiate_hamiltonian(
             total = total + (t_power * term).scale(Fraction(1, factorial))
         else:
             raise NonTerminatingFlow(
-                f"flow series for {name!r} did not terminate in {max_steps} steps"
+                f"flow series for {name!r} did not terminate in {MAX_FLOW_STEPS} steps"
             )
         images[name] = total
     return Transition(chart, chart, images)

@@ -45,7 +45,7 @@ from .master import (
 )
 from .sampling import MAX_DIMENSION
 from .superalgebra import Chart, SuperFunction
-from .suites import DEFAULT_COUNT, SUITE_NAMES, run_suite
+from .suites import DEFAULT_COUNT, MAX_COUNT, SUITE_NAMES, run_suite
 
 __all__ = ["main"]
 
@@ -84,7 +84,7 @@ def _bounded(chart: Chart) -> Chart:
 
 def _resolve_chart(args: argparse.Namespace, *, fiber: bool = False) -> Chart:
     """The working chart: ``--chart`` JSON if given, else a standard one."""
-    if getattr(args, "chart", None):
+    if args.chart:
         return _bounded(chart_from_dict(_load_json(args.chart)))
     if fiber:
         return Chart.forms(args.n)
@@ -239,13 +239,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------------
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def _dimension(text: str) -> int:
     value = int(text)
     if not 1 <= value <= MAX_DIMENSION:
@@ -260,14 +253,17 @@ def _weight(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser, *, chart: bool = True) -> None:
-    if chart:
+def _add_common(
+    parser: argparse.ArgumentParser, *, n: bool = True, chart: bool = True
+) -> None:
+    if n:
         parser.add_argument(
             "--n",
             type=_dimension,
             default=2,
             help=f"base dimension, at most {MAX_DIMENSION} (default 2)",
         )
+    if chart:
         parser.add_argument(
             "--chart",
             help="chart as inline JSON or a path to a JSON file "
@@ -309,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("berezinian", help="Berezinian of a coordinate transition")
     p.add_argument("transition", help="transition as inline JSON or a file path")
-    _add_common(p, chart=False)
+    _add_common(p, n=False, chart=False)
     p.set_defaults(handler=_cmd_berezinian)
 
     p = sub.add_parser("transform", help="push an expression through a transition")
@@ -322,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="density weight: 0 substitutes, 1/2 transports a semidensity, "
         "1 a volume (default 0)",
     )
-    _add_common(p, chart=False)
+    _add_common(p, n=False, chart=False)
     p.set_defaults(handler=_cmd_transform)
 
     p = sub.add_parser(
@@ -330,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify a transition is canonical and its Berezinian root is closed",
     )
     p.add_argument("transition", help="transition as inline JSON or a file path")
-    _add_common(p, chart=False)
+    _add_common(p, n=False, chart=False)
     p.set_defaults(handler=_cmd_check_transition)
 
     p = sub.add_parser(
@@ -384,11 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.add_argument(
         "--count",
-        type=_positive,
+        type=int,
         default=DEFAULT_COUNT,
-        help=f"checks per suite item (default {DEFAULT_COUNT})",
+        help=f"checks per suite item, 1 to {MAX_COUNT} (default {DEFAULT_COUNT})",
     )
-    _add_common(p)
+    _add_common(p, chart=False)
     p.set_defaults(handler=_cmd_suite)
 
     return parser

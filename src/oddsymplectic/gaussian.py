@@ -92,12 +92,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
 
-    def is_rational(self) -> bool:
-        return not self.b
-
-    def is_integer(self) -> bool:
-        return not self.b and self.d == 1
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: QLike) -> "GaussianRational":

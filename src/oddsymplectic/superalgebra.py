@@ -268,10 +268,6 @@ class SuperFunction:
         bit = chart.odd_index(name)
         return cls(chart, {1 << bit: Scalar.one(chart.nvars)})
 
-    @classmethod
-    def monomial(cls, chart: Chart, mask: int, coeff: ScalarLike = 1) -> "SuperFunction":
-        return cls(chart, {mask: Scalar.coerce(coeff, chart.nvars)})
-
     def _coerce(self, value: Like) -> "SuperFunction":
         if isinstance(value, SuperFunction):
             if value.chart != self.chart:
@@ -690,12 +686,12 @@ class SuperFunction:
 
     # -- structural helpers -------------------------------------------------------------------------
 
-    def map_coefficients(self, fn) -> "SuperFunction":
-        return SuperFunction(self.chart, {m: fn(c) for m, c in self.terms.items()})
-
     def set_evens_to_zero(self, names: Iterable[str]) -> "SuperFunction":
         indices = [self.chart.even_index(n) for n in names]
-        return self.map_coefficients(lambda c: c.set_vars_to_zero(indices))
+        return SuperFunction(
+            self.chart,
+            {m: c.set_vars_to_zero(indices) for m, c in self.terms.items()},
+        )
 
     def drop_odd_bits(self, mask: int) -> "SuperFunction":
         """Keep only terms containing none of the given odd generators."""

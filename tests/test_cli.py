@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oddsymplectic
-from oddsymplectic import brackets, expressions
+from oddsymplectic import brackets, expressions, suites
 from oddsymplectic.cli import main
 from oddsymplectic.expressions import (
     MAX_EXPONENT,
@@ -19,6 +19,7 @@ from oddsymplectic.expressions import (
     MAX_PRODUCT_TERMS,
 )
 from oddsymplectic.sampling import MAX_DIMENSION
+from oddsymplectic.suites import MAX_COUNT
 
 SCALING = json.dumps(
     {
@@ -332,3 +333,31 @@ def test_unknown_subcommand_and_suite_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_suite_counts_past_the_bound_are_refused_not_run():
+    # --count 100000 would run for hours; it must be refused before any check.
+    for count in ("100000", str(MAX_COUNT + 1), "0"):
+        proc = run_subprocess("suite", "axioms", "--count", count)
+        assert proc.returncode == 2, count
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert f"between 1 and {MAX_COUNT}" in proc.stderr
+
+
+def test_suite_has_no_chart_option():
+    # Suites sample on the default chart of dimension --n; --chart is refused
+    # rather than silently ignored.
+    chart = json.dumps({"evens": ["y1"], "odds": ["eta1"]})
+    proc = run_subprocess("suite", "axioms", "--chart", chart)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --chart" in proc.stderr
+
+
+def test_suite_count_at_the_bound_runs(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "MAX_COUNT", 3)
+    code, out, _ = run(capsys, "suite", "axioms", "--n", "1", "--count", "3")
+    assert code == 0 and "count=3" in out
+    code, out, err = run(capsys, "suite", "axioms", "--n", "1", "--count", "4")
+    assert code == 2 and out == ""
+    assert err == "error: count must be between 1 and 3, got 4"

@@ -7,7 +7,9 @@ import pkgutil
 import pytest
 
 import oddsymplectic
-from oddsymplectic.charts import Transition
+from oddsymplectic.brackets import check_axioms
+from oddsymplectic.charts import Transition, exponentiate_hamiltonian
+from oddsymplectic.gaussian import GaussianRational
 from oddsymplectic.superalgebra import SuperFunction
 
 MODULES = ["oddsymplectic"] + [
@@ -40,3 +42,16 @@ def test_removed_aliases_are_gone():
         assert not hasattr(importlib.import_module(home), alias)
     assert not hasattr(Transition, "from_images")
     assert list(inspect.signature(SuperFunction.retarget).parameters) == ["self", "target"]
+
+
+def test_unused_methods_and_options_are_gone():
+    for owner, name in (
+        (SuperFunction, "monomial"),
+        (SuperFunction, "map_coefficients"),
+        (GaussianRational, "is_integer"),
+        (GaussianRational, "is_rational"),
+    ):
+        assert not hasattr(owner, name), name
+    # The bounds are module constants (MAX_FAILURES, MAX_FLOW_STEPS).
+    assert "max_failures" not in inspect.signature(check_axioms).parameters
+    assert list(inspect.signature(exponentiate_hamiltonian).parameters) == ["q", "time"]

@@ -1,8 +1,14 @@
 """Suite reports: determinism, coverage, and failure detection under mutation."""
 
+import hashlib
+import json
+
 import pytest
 
 from oddsymplectic import brackets, charts, sampling, suites
+
+SAMPLING_DIGEST = "d64add530091d37f671587651cfa08cb71cd17b11491e47ea7cf4fa735dcb2ab"
+DEFORMED_BRACKET_DIGEST = "7c16080739eee660af4056a43a84065a6391678200d3f339582300a3019a5728"
 
 
 def test_unknown_suite_rejected():
@@ -10,6 +16,8 @@ def test_unknown_suite_rejected():
         suites.run_suite("nonsense")
     with pytest.raises(ValueError):
         suites.run_suite("axioms", count=0)
+    with pytest.raises(ValueError, match=f"between 1 and {suites.MAX_COUNT}"):
+        suites.run_suite("axioms", count=suites.MAX_COUNT + 1)
 
 
 def test_every_named_suite_passes():
@@ -101,3 +109,42 @@ def test_mutated_berezinian_root_is_caught(monkeypatch):
     assert not report.passed
     failing = {item.tag for item in report.items if not item.passed}
     assert "square-root-berezinian-is-closed" in failing
+
+
+def _sampling_digest(monkeypatch):
+    """sha256 of every draw and report of the named suites at n = 1..3, seed 1."""
+    log = []
+
+    class LoggingRandom(suites.Random):
+        def random(self):
+            value = super().random()
+            log.append(("random", value))
+            return value
+
+        def getrandbits(self, k):
+            value = super().getrandbits(k)
+            log.append(("getrandbits", k, value))
+            return value
+
+    monkeypatch.setattr(suites, "Random", LoggingRandom)
+    reports = [
+        suites.run_suite(name, n=n, seed=1, count=3).to_dict()
+        for name in suites.SUITE_NAMES[:-1]
+        for n in (1, 2, 3)
+    ]
+    text = repr(log) + json.dumps(reports, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_suites_draw_the_same_samples(monkeypatch):
+    # Which inputs a suite draws is invisible in a passing report, so the
+    # draw log is pinned together with the reports.
+    assert _sampling_digest(monkeypatch) == SAMPLING_DIGEST
+
+
+def test_suites_report_the_same_witnesses_under_a_deformed_bracket(monkeypatch):
+    original = brackets.odd_poisson_bracket
+    monkeypatch.setattr(
+        brackets, "odd_poisson_bracket", lambda f, g: original(f, g) + f * g
+    )
+    assert _sampling_digest(monkeypatch) == DEFORMED_BRACKET_DIGEST
