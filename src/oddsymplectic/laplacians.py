@@ -6,8 +6,11 @@ function on a Darboux chart), the operator on functions is
     Delta_rho f = Delta_0 f + (1/2) {log rho, f},
     Delta_0 f   = sum_i d^2 f / dx^i dth_i,
 
-where ``{log rho, .}`` is expanded through exact logarithmic derivatives
-``invert(rho) * d(rho)``.  The same operator arises as
+where ``{log rho, .}`` is expanded through the exact logarithmic derivatives
+``lambda = invert(rho) * d(rho)``.  They depend only on the volume, so a
+:class:`VolumeForm` computes them on its first Laplacian and keeps them for
+the instance's lifetime; :func:`modular_operator` never reads them and stays
+the independent path.  The same operator arises as
 ``(1/2) (-1)^{p(f)} div_rho D_f`` for the canonical odd bracket; the
 divergence form is implemented independently (for brackets of either
 parity), which gives a nontrivial cross-check and, for even brackets, the
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .brackets import PoissonStructure
 from .errors import ChartMismatch, NonInvertibleBody, ParityViolation
@@ -41,9 +45,40 @@ def _require_darboux(chart: Chart) -> None:
         raise ChartMismatch(f"chart {chart.name!r} is not of Darboux type")
 
 
+# Per conjugate pair (x^i, th_i): (d log rho / dx^i, d log rho / dth_i).
+_LogDerivative = tuple[tuple[SuperFunction, SuperFunction], ...]
+
+
+def _log_derivative(rho: SuperFunction) -> _LogDerivative:
+    """The components of ``lambda = d log rho``, as ``invert(rho) * d(rho)``."""
+    chart = rho.chart
+    _require_darboux(chart)
+    rho_inv = rho.invert()
+    return tuple(
+        (rho_inv * rho.partial_even(x_name), rho_inv * rho.partial_odd(th_name))
+        for x_name, th_name in zip(chart.even_coords, chart.odd_coords)
+    )
+
+
+def _apply_log_derivative(lam: _LogDerivative, f: SuperFunction) -> SuperFunction:
+    """``{log rho, f} = sum_i (lambda_{x^i} df/dth_i + lambda_{th_i} df/dx^i)``."""
+    chart = f.chart
+    result = SuperFunction.zero(chart)
+    for x_name, th_name, (lam_x, lam_th) in zip(chart.even_coords, chart.odd_coords, lam):
+        result = result + lam_x * f.partial_odd(th_name)
+        result = result + lam_th * f.partial_even(x_name)
+    return result
+
+
 @dataclass(frozen=True)
 class VolumeForm:
-    """A volume element ``rho D(x, th)`` given by its even coefficient."""
+    """A volume element ``rho D(x, th)`` given by its even coefficient.
+
+    Equality, hashing and ``repr`` see only ``(chart, coefficient)``.  The
+    logarithmic derivative :attr:`log_derivative` is computed on first use,
+    not at construction, and kept on the instance, so every Laplacian of one
+    volume after the first skips inverting ``rho``.
+    """
 
     chart: Chart
     coefficient: SuperFunction
@@ -67,6 +102,11 @@ class VolumeForm:
 
     def rescale(self, factor: SuperFunction) -> "VolumeForm":
         return VolumeForm(self.chart, self.coefficient * factor)
+
+    @cached_property
+    def log_derivative(self) -> _LogDerivative:
+        """``(d log rho / dx^i, d log rho / dth_i)`` for each conjugate pair."""
+        return _log_derivative(self.coefficient)
 
 
 def delta0(f: SuperFunction) -> SuperFunction:
@@ -92,17 +132,18 @@ def log_derivative_bracket(rho: SuperFunction, f: SuperFunction) -> SuperFunctio
         raise ChartMismatch("volume and argument live on different charts")
     if rho.parity() != 0:
         raise ParityViolation("logarithmic derivative requires an even element")
-    rho_inv = rho.invert()
-    result = SuperFunction.zero(chart)
-    for x_name, th_name in zip(chart.even_coords, chart.odd_coords):
-        result = result + (rho_inv * rho.partial_even(x_name)) * f.partial_odd(th_name)
-        result = result + (rho_inv * rho.partial_odd(th_name)) * f.partial_even(x_name)
-    return result
+    return _apply_log_derivative(_log_derivative(rho), f)
 
 
 def delta_rho(volume: VolumeForm, f: SuperFunction) -> SuperFunction:
-    """The odd Laplacian of ``f`` with respect to the volume element."""
-    return delta0(f) + log_derivative_bracket(volume.coefficient, f).scale(Fraction(1, 2))
+    """The odd Laplacian of ``f`` with respect to the volume element.
+
+    Reads the volume's cached :attr:`VolumeForm.log_derivative`.
+    """
+    if f.chart != volume.chart:
+        raise ChartMismatch("volume and argument live on different charts")
+    half_bracket = _apply_log_derivative(volume.log_derivative, f).scale(Fraction(1, 2))
+    return delta0(f) + half_bracket
 
 
 def delta_rho_squared(volume: VolumeForm, f: SuperFunction) -> SuperFunction:

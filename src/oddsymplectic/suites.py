@@ -386,9 +386,12 @@ def _fourier_items(n: int, rng: Random, count: int) -> list[SuiteItem]:
 def _master_items(n: int, rng: Random, count: int) -> list[SuiteItem]:
     chart = sampling.default_chart(n, externals=("eps1",))
 
-    def exponential_identity(index: int) -> None:
-        # exp_identity_residual itself raises when the identity fails.
-        master.exp_identity_residual(sampling.random_nilpotent_even(rng, chart))
+    def exponential_identity(index: int) -> str | None:
+        g = sampling.random_nilpotent_even(rng, chart)
+        exponential = master.nilpotent_exponential(g)
+        residual = master.exp_identity_residual(g)
+        lhs = laplacians.delta0(exponential)
+        return None if lhs == residual * exponential else f"g = {g}"
 
     def hbar_limit(index: int) -> str | None:
         action = sampling.random_superfunction(rng, chart, parity=0)

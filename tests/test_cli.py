@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oddsymplectic
-from oddsymplectic import brackets, expressions, suites
+from oddsymplectic import brackets, expressions, master, suites
 from oddsymplectic.cli import main
 from oddsymplectic.expressions import (
     MAX_EXPONENT,
@@ -166,6 +166,17 @@ def test_suite_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "suite", "axioms", "--n", "1", "--count", "2")
     assert code == 1
     assert "FAILURES detected" in out
+
+
+def test_failed_exponential_identity_exits_one_with_a_report(capsys, monkeypatch):
+    original = master.delta0
+    monkeypatch.setattr(master, "delta0", lambda f: original(f) + f)
+    code, out, err = run(capsys, "suite", "master", "--n", "1", "--count", "2")
+    assert code == 1
+    assert "[FAIL] exponential-laplacian-identity" in out
+    assert "witness: g = " in out
+    assert "FAILURES detected" in out
+    assert err == ""
 
 
 def test_usage_errors_exit_two(capsys):

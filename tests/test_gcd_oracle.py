@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oddsymplectic.gaussian import GaussianRational
@@ -38,6 +38,18 @@ def _planted(draw) -> tuple[Polynomial, Polynomial, Polynomial]:
     """Three nonzero polynomials in a shared variable set: (u, v, w)."""
     nvars = draw(st.integers(1, 3))
     return tuple(draw(_polynomial(nvars)) for _ in range(3))
+
+
+@st.composite
+def _quotient(draw) -> tuple[Polynomial, Polynomial, int]:
+    """A numerator, a denominator and a variable index; often ``den`` is free of it."""
+    nvars = draw(st.integers(1, 3))
+    index = draw(st.integers(0, nvars - 1))
+    num, den = draw(_polynomial(nvars)), draw(_polynomial(nvars))
+    if draw(st.booleans()):
+        den = den.set_vars_to_zero([index])
+        assume(not den.is_zero())
+    return num, den, index
 
 
 def _to_sympy(p: Polynomial):
@@ -105,3 +117,22 @@ def test_scalar_normal_form_matches_sympy_cancel(polys):
     # has the same fields.
     for same in (Scalar(v) / Scalar(w), (Scalar(v) + Scalar(w)) / Scalar(w) - 1):
         assert (same.num, same.den) == (reduced.num, reduced.den)
+
+
+# Fewer examples: sympy's multivariate cancel over QQ_I dominates the cost.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_quotient())
+def test_scalar_partial_matches_sympy_diff(case):
+    num, den, index = case
+    value = Scalar(num, den)
+    derivative = value.partial(index)
+    gens = sympy.symbols(f"x0:{num.nvars}")
+    expr = _to_sympy(value.num).as_expr() / _to_sympy(value.den).as_expr()
+    top, bottom = sympy.fraction(sympy.cancel(sympy.diff(expr, gens[index])))
+    top = sympy.Poly(top, *gens, domain=sympy.QQ_I)
+    bottom = sympy.Poly(bottom, *gens, domain=sympy.QQ_I)
+    # Lowest terms with a lex-monic denominator, as sympy's cancel gives it.
+    assert sympy.gcd(_to_sympy(derivative.num), _to_sympy(derivative.den)).is_ground
+    assert derivative.den.leading()[1] == 1
+    assert _to_sympy(derivative.den) == bottom.monic()
+    assert _to_sympy(derivative.num) == top.quo_ground(bottom.LC())

@@ -1,11 +1,14 @@
 """Odd Laplacians: frozen values, product/bracket identities, divergences."""
 
+import dataclasses
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from oddsymplectic import sampling
 from oddsymplectic.brackets import CotangentStructure, PoissonStructure, odd_poisson_bracket
-from oddsymplectic.errors import NonInvertibleBody, ParityViolation
+from oddsymplectic.errors import ChartMismatch, NonInvertibleBody, ParityViolation
 from oddsymplectic.expressions import parse_expression
 from oddsymplectic.laplacians import (
     VolumeForm,
@@ -218,3 +221,74 @@ def test_gaussian_volume_stays_on_the_heuristic_gcd(c2, monkeypatch):
     )
     assert delta_rho(volume, delta_rho(volume, f)).is_zero()
     assert calls == []
+
+
+# -- the per-volume logarithmic derivative ----------------------------------------
+
+
+def _rational_volumes(n, seed):
+    """A real volume with a soul (n >= 2) and two Gaussian ones, seeded."""
+    rng = Random(seed)
+    chart = Chart.darboux(n)
+    xs, ths = chart.even_coords, chart.odd_coords
+    den = "1 + " + " + ".join(f"{rng.randint(1, 3)}*{x}^2" for x in xs)
+    c, d = rng.randint(1, 5), rng.randint(1, 5)
+    real = f"{c}/({den})"
+    if n >= 2:
+        real += f" + {rng.randint(1, 3)}*{xs[-1]}*{ths[0]}*{ths[-1]}"
+    texts = (real, f"{c}*I/({den})", f"({c} + {d}*I*x1)/({den})")
+    return chart, [VolumeForm(chart, parse_expression(t, chart)) for t in texts]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_laplacian_matches_the_modular_operator(n):
+    chart, volumes = _rational_volumes(n, seed=10 + n)
+    structure = PoissonStructure.darboux_odd(chart)
+    rng = Random(n)
+    samples = [sampling.random_superfunction(rng, chart, parity=p) for p in (1, 0, 1, 1)]
+    for volume in volumes:
+        expected = [modular_operator(structure, volume.coefficient, f) for f in samples]
+        first = [delta_rho(volume, f) for f in samples]
+        repeated = [delta_rho(volume, f) for f in samples]
+        fresh_volume = VolumeForm(chart, volume.coefficient)
+        fresh = [delta_rho(fresh_volume, f) for f in samples]
+        assert first == expected
+        assert repeated == expected
+        assert fresh == expected
+
+
+def test_volume_form_fields_equality_and_hash_ignore_the_cache(c2):
+    x1, th1, th2 = gens(c2, "x1", "th1", "th2")
+    coefficient = (x1 * x1 + 1).invert() + x1 * th1 * th2
+    used, unused = VolumeForm(c2, coefficient), VolumeForm(c2, coefficient)
+    delta_rho(used, x1 * th1)
+    assert "log_derivative" in vars(used)
+    assert "log_derivative" not in vars(unused)
+    assert [field.name for field in dataclasses.fields(VolumeForm)] == ["chart", "coefficient"]
+    assert used == unused
+    assert hash(used) == hash(unused)
+    assert repr(used) == repr(unused)
+    assert used.log_derivative == unused.log_derivative
+
+
+def test_delta_rho_refuses_a_function_on_another_chart(c2):
+    th1, th2 = gens(c2, "th1", "th2")
+    volume = VolumeForm(c2, SuperFunction.one(c2) + th1 * th2)
+    with pytest.raises(ChartMismatch):
+        delta_rho(volume, SuperFunction.generator(Chart.darboux(1), "x1"))
+    with pytest.raises(ChartMismatch):
+        delta_rho(volume, SuperFunction.generator(Chart.darboux(2, name="Q"), "x1"))
+
+
+def test_one_volume_inverts_its_coefficient_once(c2, monkeypatch):
+    x1, x2, th1, th2 = gens(c2, "x1", "x2", "th1", "th2")
+    coefficient = parse_expression("3*I/(1 + x1^2 + x2^2) + x1*th1*th2", c2)
+    calls = []
+    invert = SuperFunction.invert
+    monkeypatch.setattr(SuperFunction, "invert", lambda self: calls.append(self) or invert(self))
+    volume = VolumeForm(c2, coefficient)
+    assert calls == []
+    for f in (x1, th1, x1 * th2, th1 * th2, x2 * x2 * th1):
+        delta_rho(volume, f)
+    delta_rho_squared(volume, x1 * x2 * th1 * th2)
+    assert calls == [coefficient]

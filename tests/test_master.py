@@ -49,8 +49,16 @@ def test_exp_identity_residual_frozen():
     x1, x2, th1, th2 = gens(chart, "x1", "x2", "th1", "th2")
     assert exp_identity_residual(x1 * th1 * th2) == th2
     assert exp_identity_residual(x1 * x2 * th1 * th2) == x2 * th2 - x1 * th1
-    # nonzero constant terms skip the literal expansion but keep the residual
+    # a nonzero constant term has no finite exponential but keeps the residual
     assert exp_identity_residual(one(chart) + x1 * th1 * th2) == th2
+
+
+def test_exp_identity_holds_on_the_finite_exponential():
+    chart = Chart.darboux(2)
+    x1, x2, th1, th2 = gens(chart, "x1", "x2", "th1", "th2")
+    for g in (x1 * th1 * th2, x1 * x2 * th1 * th2, (x1 + x2 * x2) * th1 * th2):
+        exponential = nilpotent_exponential(g)
+        assert delta0(exponential) == exp_identity_residual(g) * exponential
 
 
 def test_exp_identity_requires_even_exponent():

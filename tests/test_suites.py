@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from oddsymplectic import brackets, charts, sampling, suites
+from oddsymplectic import brackets, charts, master, sampling, suites
 
 SAMPLING_DIGEST = "d64add530091d37f671587651cfa08cb71cd17b11491e47ea7cf4fa735dcb2ab"
 DEFORMED_BRACKET_DIGEST = "7c16080739eee660af4056a43a84065a6391678200d3f339582300a3019a5728"
@@ -109,6 +109,17 @@ def test_mutated_berezinian_root_is_caught(monkeypatch):
     assert not report.passed
     failing = {item.tag for item in report.items if not item.passed}
     assert "square-root-berezinian-is-closed" in failing
+
+
+def test_mutated_laplacian_fails_the_exponential_identity_with_a_witness(monkeypatch):
+    original = master.delta0
+    monkeypatch.setattr(master, "delta0", lambda f: original(f) + f)
+    report = suites.run_suite("master", n=1, count=2)
+    [item] = [item for item in report.items if item.tag == "exponential-laplacian-identity"]
+    assert not item.passed
+    assert item.checked == 1
+    assert item.witness.startswith("g = ")
+    assert report.lines()[-1] == "FAILURES detected"
 
 
 def _sampling_digest(monkeypatch):
