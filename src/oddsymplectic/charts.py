@@ -249,21 +249,9 @@ class Transition:
         Requires the odd-valued coefficients to form a closed one-form
         (``d alpha_i / dx^j`` symmetric), which makes the shift canonical.
         """
-        n = len(source.even_coords)
-        if len(alpha) != n:
-            raise InvalidTransition("need one shift component per odd coordinate")
-        for a in alpha:
-            if a.chart != target:
-                raise ChartMismatch("shift components must live on the target chart")
-            if not (a.is_zero() or a.is_odd()):
-                raise ParityViolation("shift components must be odd")
-            for th in target.odd_coords:
-                if a.depends_on_odd(target.odd_index(th)):
-                    raise InvalidTransition(
-                        "shift components must not involve the odd coordinates"
-                    )
-        for i in range(n):
-            for j in range(i + 1, n):
+        images = _shift_images(source, target, alpha)
+        for i in range(len(alpha)):
+            for j in range(i + 1, len(alpha)):
                 di = alpha[j].partial_even(target.even_coords[i])
                 dj = alpha[i].partial_even(target.even_coords[j])
                 if di != dj:
@@ -271,9 +259,6 @@ class Transition:
                         f"shift one-form is not closed: d_{i + 1} alpha_{j + 1} "
                         f"!= d_{j + 1} alpha_{i + 1}"
                     )
-        images: dict[str, SuperFunction] = {}
-        for j, th in enumerate(source.odd_coords):
-            images[th] = SuperFunction.generator(target, target.odd_coords[j]) + alpha[j]
         return cls(source, target, images)
 
     # -- actions -----------------------------------------------------------------
@@ -290,6 +275,26 @@ class Transition:
             raise ChartMismatch("compose requires matching intermediate charts")
         images = {name: then.apply(img) for name, img in self.images.items()}
         return Transition(self.source, then.target, images)
+
+
+def _shift_images(
+    source: Chart, target: Chart, alpha: Sequence[SuperFunction]
+) -> dict[str, SuperFunction]:
+    """Checked images ``th_j -> th'_j + alpha_j`` of an odd shift (closedness aside)."""
+    if len(alpha) != len(source.even_coords):
+        raise InvalidTransition("need one shift component per odd coordinate")
+    for a in alpha:
+        if a.chart != target:
+            raise ChartMismatch("shift components must live on the target chart")
+        if not (a.is_zero() or a.is_odd()):
+            raise ParityViolation("shift components must be odd")
+        for th in target.odd_coords:
+            if a.depends_on_odd(target.odd_index(th)):
+                raise InvalidTransition("shift components must not involve the odd coordinates")
+    return {
+        th: SuperFunction.generator(target, target.odd_coords[j]) + alpha[j]
+        for j, th in enumerate(source.odd_coords)
+    }
 
 
 def jacobian(transition: Transition) -> Matrix:

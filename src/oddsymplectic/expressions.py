@@ -78,8 +78,9 @@ MAX_POWER_DEGREE = 4 * MAX_EXPONENT
 MAX_POWER_TERMS = 5000
 
 # Bound on ``terms(a) * terms(b)`` for one ``a * b`` or ``a / b``, checked
-# before multiplying; ``terms`` counts the polynomial terms of every
-# numerator and denominator.  Bounded powers alone do not bound products:
+# before multiplying (and, from its predicted size, before expanding a power
+# ``b``); ``terms`` counts the polynomial terms of every numerator and
+# denominator.  Bounded powers alone do not bound products:
 # ``(1+x1+x2+hbar)^24 * (1+x1+x2+hbar)^24`` multiplies 2926 by 2926 terms.
 # The cost is about linear in the pairs, and at this bound it is close to
 # that of the largest power allowed.
@@ -190,25 +191,20 @@ class _Parser:
         value = self.factor()
         while self.current.kind == "punct" and self.current.text in "*/":
             op = self.advance()
-            rhs = self.factor()
-            pairs = _term_count(value) * _term_count(rhs)
-            if pairs > MAX_PRODUCT_TERMS:
-                raise ExpressionSyntaxError(
-                    f"product of {pairs} term pairs, more than {MAX_PRODUCT_TERMS}",
-                    op.line,
-                    op.column,
-                )
+            left = _term_count(value)
+            rhs = self.factor((left, op))
+            _check_product(left * _term_count(rhs), op)
             value = value * rhs if op.text == "*" else value / rhs
         return value
 
-    def factor(self) -> SuperFunction:
+    def factor(self, product: tuple[int, _Token] | None = None) -> SuperFunction:
         negate = False
         while self.current.kind == "punct" and self.current.text in "+-":
             negate ^= self.advance().text == "-"
-        value = self.power()
+        value = self.power(product)
         return -value if negate else value
 
-    def power(self) -> SuperFunction:
+    def power(self, product: tuple[int, _Token] | None = None) -> SuperFunction:
         base = self.atom()
         if self.current.kind == "punct" and self.current.text == "^":
             self.advance()
@@ -230,6 +226,10 @@ class _Parser:
                 raise self.fail(
                     f"power with up to {terms} terms, more than {MAX_POWER_TERMS}"
                 )
+            if product is not None:
+                # Refuse an oversized product before expanding its right factor.
+                left, op = product
+                _check_product(left * _power_terms(base, exponent), op)
             self.advance()
             return base ** (sign * exponent)
         return base
@@ -285,6 +285,34 @@ class _Parser:
 def _term_count(f: SuperFunction) -> int:
     """Polynomial terms over all numerators and denominators of ``f``."""
     return sum(len(c.num.terms) + len(c.den.terms) for c in f.terms.values())
+
+
+def _check_product(pairs: int, op: _Token) -> None:
+    """Refuse a product or quotient of more than :data:`MAX_PRODUCT_TERMS` term pairs."""
+    if pairs > MAX_PRODUCT_TERMS:
+        raise ExpressionSyntaxError(
+            f"product of {pairs} term pairs, more than {MAX_PRODUCT_TERMS}",
+            op.line,
+            op.column,
+        )
+
+
+def _power_terms(base: SuperFunction, exponent: int) -> int:
+    """Predicted :func:`_term_count` of the body of ``base^exponent``.
+
+    A polynomial of ``t`` terms and degree ``d`` in ``v`` variables has at most
+    ``min(C(d*e + v, v), C(t + e - 1, e))`` terms in its ``e``-th power (one
+    for ``x1^64``), exactly that many when no two products of terms collide.
+    """
+    body = base.body()
+    count = 0
+    for poly in (body.num, body.den):
+        if poly.terms:
+            t = len(poly.terms)
+            v = len(poly.variables_present())
+            dense = math.comb(poly.total_degree() * exponent + v, v)
+            count += min(dense, math.comb(t + exponent - 1, exponent))
+    return count
 
 
 def _power_size(base: SuperFunction, exponent: int) -> tuple[int, int]:

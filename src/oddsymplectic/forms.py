@@ -28,10 +28,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .brackets import odd_poisson_bracket
-from .charts import Density, Transition, transform_density
+from .charts import Density, Transition, _shift_images, transform_density
 from .errors import (
     ChartMismatch,
-    InvalidTransition,
     NoExactSquareRoot,
     NonInvertibleBody,
     ParityViolation,
@@ -275,22 +274,8 @@ def one_form_action(components: Sequence[SuperFunction], density: Density) -> De
     an abelian supergroup acting on semidensities.
     """
     chart = density.chart
-    n = _base_dimension(chart, forms=False)
-    if len(components) != n:
-        raise InvalidTransition("need one shift component per odd coordinate")
-    images: dict[str, SuperFunction] = {}
-    for j, name in enumerate(chart.odd_coords):
-        a = components[j]
-        if a.chart != chart:
-            raise ChartMismatch("shift components must live on the density's chart")
-        if not (a.is_zero() or a.is_odd()):
-            raise ParityViolation("shift components must be odd")
-        for th in chart.odd_coords:
-            if a.depends_on_odd(chart.odd_index(th)):
-                raise InvalidTransition(
-                    "shift components must not involve the odd coordinates"
-                )
-        images[name] = SuperFunction.generator(chart, name) + a
+    _base_dimension(chart, forms=False)
+    images = _shift_images(chart, chart, components)
     return transform_density(density, Transition(chart, chart, images))
 
 

@@ -312,4 +312,3 @@ def to_gaussian(value: QLike) -> GaussianRational:
 
 ZERO = _make(0, 0, 1)
 ONE = _make(1, 0, 1)
-IMAG = _make(0, 1, 1)

@@ -5,12 +5,15 @@ coefficients; the monomial order used for leading terms, exact division and
 square roots is lexicographic on the exponent tuples (Python tuple order).
 These polynomials are the numerators and denominators of the package's
 scalar coefficients, so everything here is exact.
+Exact division and the gcd share one kernel over Z[i]: :func:`_cleared`
+clears denominators and :func:`_divide_exact` is the one long division.
+:meth:`Polynomial.cofactors` (gcd and both quotients) reduces fractions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .gaussian import ONE, ZERO, GaussianRational, QLike, to_gaussian
 
@@ -114,6 +117,16 @@ def _divide_exact(num: _GaussTerms, div: _GaussTerms) -> _GaussTerms | None:
             else:
                 rem.pop(shifted, None)
     return quotient
+
+
+def _cleared(terms: dict[_Exps, GaussianRational]) -> tuple[_GaussTerms, int]:
+    """Gaussian-integer terms ``lcm * terms`` and ``lcm``, the coefficients' shared denominator."""
+    lcm = 1
+    for coeff in terms.values():
+        den = coeff.d
+        if den != 1:
+            lcm = lcm * (den // math.gcd(lcm, den))
+    return {e: (c.a * (lcm // c.d), c.b * (lcm // c.d)) for e, c in terms.items()}, lcm
 
 
 def _evaluate(terms: _GaussTerms, index: int, xi: int) -> _GaussTerms:
@@ -288,9 +301,6 @@ class Polynomial:
                     present.add(i)
         return present
 
-    def __iter__(self) -> Iterator[tuple[_Exps, GaussianRational]]:
-        return iter(self.terms.items())
-
     # -- ring operations -------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
@@ -405,38 +415,37 @@ class Polynomial:
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
         """Exact quotient ``self / divisor`` or ``None`` if not divisible.
 
-        Lex-order long division on a working copy of the terms; the divisor's
-        leading coefficient is inverted once.
+        Clears denominators and divides by the divisor's primitive part over
+        Z[i], where the quotient stays by Gauss's lemma; then scales it back.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return Polynomial(self.nvars)
-        lt_d = max(divisor.terms)
-        inv = divisor.terms[lt_d].inverse()
-        tail = [(e, c) for e, c in divisor.terms.items() if e != lt_d]
-        quotient: dict[_Exps, GaussianRational] = {}
-        rem = dict(self.terms)
-        while rem:
-            lt_r = max(rem)
-            diff = tuple(a - b for a, b in zip(lt_r, lt_d))
-            if any(d < 0 for d in diff):
-                return None
-            q = rem.pop(lt_r) * inv
-            quotient[diff] = q
-            for exps, coeff in tail:
-                shifted = tuple(a + b for a, b in zip(exps, diff))
-                acc = rem.get(shifted)
-                if acc is None:
-                    rem[shifted] = -(coeff * q)
-                else:
-                    acc = acc - coeff * q
-                    if acc:
-                        rem[shifted] = acc
-                    else:
-                        del rem[shifted]
-        return Polynomial(self.nvars, quotient)
+        num, num_lcm = _cleared(self.terms)
+        div, div_lcm = _cleared(divisor.terms)
+        content = _content(div)
+        quotient = _divide_exact(num, _primitive(div, content))
+        if quotient is None:
+            return None
+        cr, ci = content
+        scale = GaussianRational(div_lcm) / GaussianRational(num_lcm * cr, num_lcm * ci)
+        result = Polynomial(
+            self.nvars, {e: GaussianRational(re, im) for e, (re, im) in quotient.items()}
+        )
+        return result if scale == 1 else result.scale(scale)
+
+    def cofactors(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial", "Polynomial"]:
+        """``(g, self / g, other / g)`` with ``g`` the monic gcd.
+
+        When ``g`` is constant the operands come back unchanged.
+        """
+        g = Polynomial.gcd(self, other)
+        if g.is_constant():
+            return g, self, other
+        p = self.divide_exact(g)
+        q = other.divide_exact(g)
+        assert p is not None and q is not None
+        return g, p, q
 
     def monic(self) -> "Polynomial":
         """Scale so the lex-leading coefficient is one (zero stays zero)."""
@@ -512,18 +521,8 @@ class Polynomial:
         ``im == 0`` case.  The result is a verified gcd up to a constant
         factor.
         """
-        cleared: list[_GaussTerms] = []
-        for p in (a, b):
-            lcm = 1
-            for coeff in p.terms.values():
-                den = coeff.d
-                if den != 1:
-                    lcm = lcm * (den // math.gcd(lcm, den))
-            cleared.append(
-                {e: (c.a * (lcm // c.d), c.b * (lcm // c.d)) for e, c in p.terms.items()}
-            )
         try:
-            h = _heuristic_gcd(cleared[0], cleared[1], a.nvars)
+            h = _heuristic_gcd(_cleared(a.terms)[0], _cleared(b.terms)[0], a.nvars)
         except _HeuristicFailed:
             return None
         return Polynomial(a.nvars, {e: GaussianRational(re, im) for e, (re, im) in h.items()})

@@ -52,12 +52,7 @@ class Scalar:
         if den.is_zero():
             raise ZeroDivisionError("scalar with zero denominator")
         if not num.is_zero() and not den.is_constant():
-            g = Polynomial.gcd(num, den)
-            if not (g.is_constant() and g.constant_value() == 1):
-                num_q = num.divide_exact(g)
-                den_q = den.divide_exact(g)
-                assert num_q is not None and den_q is not None
-                num, den = num_q, den_q
+            _, num, den = num.cofactors(den)
         self.num, self.den = _normalise(num, den)
 
     # -- constructors --------------------------------------------------------
@@ -132,22 +127,17 @@ class Scalar:
             if b.is_constant():
                 return Scalar._from_reduced(a + c, b)
             return Scalar(a + c, b)
-        g1 = Polynomial.gcd(b, d)
+        g1, b1, d1 = b.cofactors(d)
         if g1.is_constant():
             return Scalar._from_reduced(a * d + c * b, b * d)
-        b1 = b.divide_exact(g1)
-        d1 = d.divide_exact(g1)
-        assert b1 is not None and d1 is not None
         t = a * d1 + c * b1
         if t.is_zero():
             return Scalar.zero(self.nvars)
-        g2 = Polynomial.gcd(t, g1)
+        # Only factors of g1 can cancel from the denominator b*d1 = g1*b1*d1.
+        g2, tn, g1n = t.cofactors(g1)
         if g2.is_constant():
             return Scalar._from_reduced(t, b * d1)
-        tn = t.divide_exact(g2)
-        bn = b.divide_exact(g2)
-        assert tn is not None and bn is not None
-        return Scalar._from_reduced(tn, bn * d1)
+        return Scalar._from_reduced(tn, g1n * b1 * d1)
 
     __radd__ = __add__
 
@@ -170,19 +160,9 @@ class Scalar:
         if a.is_zero() or c.is_zero():
             return Scalar.zero(self.nvars)
         if not d.is_constant():
-            g = Polynomial.gcd(a, d)
-            if not g.is_constant():
-                an = a.divide_exact(g)
-                dn = d.divide_exact(g)
-                assert an is not None and dn is not None
-                a, d = an, dn
+            _, a, d = a.cofactors(d)
         if not b.is_constant():
-            g = Polynomial.gcd(c, b)
-            if not g.is_constant():
-                cn = c.divide_exact(g)
-                bn = b.divide_exact(g)
-                assert cn is not None and bn is not None
-                c, b = cn, bn
+            _, c, b = c.cofactors(b)
         return Scalar._from_reduced(a * c, b * d)
 
     __rmul__ = __mul__

@@ -12,8 +12,10 @@ from oddsymplectic.errors import (
     NonInvertibleBody,
     UnknownGenerator,
 )
+from oddsymplectic import expressions
 from oddsymplectic.expressions import (
     MAX_EXPONENT,
+    MAX_PRODUCT_TERMS,
     chart_from_dict,
     chart_to_dict,
     format_scalar,
@@ -109,6 +111,46 @@ def test_parse_error_positions():
         parse_expression("y7 + 1", chart)
     with pytest.raises(NonInvertibleBody):
         parse_expression("1/th1", chart)
+
+
+def _count_powers(monkeypatch) -> list[int]:
+    """Record the exponent of every ``SuperFunction.__pow__`` call."""
+    calls: list[int] = []
+    original = SuperFunction.__pow__
+
+    def counting(self, exponent):
+        calls.append(exponent)
+        return original(self, exponent)
+
+    monkeypatch.setattr(SuperFunction, "__pow__", counting)
+    return calls
+
+
+def test_oversized_product_is_refused_before_its_right_power_expands(monkeypatch):
+    calls = _count_powers(monkeypatch)
+    with pytest.raises(ExpressionSyntaxError) as excinfo:
+        parse_expression("(1+x1+x2+hbar)^24*(1+x1+x2+hbar)^24", Chart.darboux(2))
+    # 2926 terms (2925 over the denominator one) on each side.
+    assert f"product of {2926 * 2926} term pairs, more than {MAX_PRODUCT_TERMS}" in str(
+        excinfo.value
+    )
+    assert excinfo.value.column == 18
+    assert calls == [24]
+
+
+def test_power_prediction_counts_what_the_power_expands_to(monkeypatch):
+    chart = Chart.darboux(2)
+    monkeypatch.setattr(expressions, "MAX_PRODUCT_TERMS", 10)
+    calls = _count_powers(monkeypatch)
+    # x1^64 is one term over one: 5 * 2 pairs, at the bound.
+    assert parse_expression("(1+x1)^3*x1^64", chart) == parse_expression("(1+x1)^3", chart) * (
+        parse_expression("x1", chart) ** 64
+    )
+    # (1+x2)^2 has three terms over one: 5 * 4 pairs, refused unexpanded.
+    calls.clear()
+    with pytest.raises(ExpressionSyntaxError, match="product of 20 term pairs, more than 10"):
+        parse_expression("(1+x1)^3*(1+x2)^2", chart)
+    assert calls == [3]
 
 
 # -- printing -----------------------------------------------------------------------

@@ -419,6 +419,20 @@ def test_one_form_action_guards():
         one_form_action([th1, zero(dchart)], s)
 
 
+def test_shift_entry_points_refuse_the_same_components():
+    # The action on semidensities and the canonical transition check their
+    # components alike: an even one and one that involves the th's fail.
+    dchart = Chart.darboux(2, externals=("nu",))
+    x1, th1, th2, nu = gens(dchart, "x1", "th1", "th2", "nu")
+    s = Density.semidensity(one(dchart))
+    for bad, error in ((x1, ParityViolation), (nu * th1 * th2 + th1, InvalidTransition)):
+        components = [bad, zero(dchart)]
+        with pytest.raises(error):
+            one_form_action(components, s)
+        with pytest.raises(error):
+            Transition.shift_one_form(dchart, dchart, components)
+
+
 # -- star product --------------------------------------------------------------------
 
 

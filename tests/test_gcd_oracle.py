@@ -1,4 +1,4 @@
-"""Gcd, exact division and the Scalar normal form, checked against sympy.
+"""Gcd, cofactors, exact division and the Scalar normal form, checked against sympy.
 
 Polynomials in one to three variables with Gaussian-rational coefficients are
 generated with a planted common factor.  The oracle works in ``QQ_I``,
@@ -73,6 +73,30 @@ def test_gcd_matches_sympy(polys):
     heuristic = Polynomial._gcd_heuristic(a, b)
     assert heuristic is not None
     assert _to_sympy(heuristic.monic()) == expected
+
+
+def _check_cofactors(a: Polynomial, b: Polynomial) -> None:
+    g, a_g, b_g = a.cofactors(b)
+    expected = _lex_monic_gcd(a, b)
+    assert _to_sympy(g) == expected
+    assert _to_sympy(a_g) == sympy.exquo(_to_sympy(a), expected)
+    assert _to_sympy(b_g) == sympy.exquo(_to_sympy(b), expected)
+
+
+@SETTINGS
+@given(_planted())
+def test_cofactors_match_sympy(polys):
+    u, v, w = polys
+    _check_cofactors(u * v, u * w)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_planted())
+def test_cofactors_match_sympy_on_the_prs_path(polys):
+    u, v, w = polys
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "_gcd_heuristic", staticmethod(lambda a, b: None))
+        _check_cofactors(u * v, u * w)
 
 
 @SETTINGS
