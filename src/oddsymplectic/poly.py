@@ -13,6 +13,7 @@ clears denominators and :func:`_divide_exact` is the one long division.
 from __future__ import annotations
 
 import math
+from operator import add
 from typing import Iterable
 
 from .gaussian import ONE, ZERO, GaussianRational, QLike, to_gaussian
@@ -218,8 +219,17 @@ def _heuristic_gcd(f: _GaussTerms, g: _GaussTerms, nvars: int) -> _GaussTerms:
     raise _HeuristicFailed
 
 
+# The shared constant one of each variable count, built on first use.
+_ONES: dict[int, "Polynomial"] = {}
+
+
 class Polynomial:
-    """A polynomial in ``nvars`` commuting variables over Q(i)."""
+    """A polynomial in ``nvars`` commuting variables over Q(i).
+
+    Values are immutable: no operation writes to ``terms`` after
+    construction, so results may share operands (``p * 1`` is ``p``) and
+    :meth:`one` returns one shared instance per ``nvars``.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -233,20 +243,29 @@ class Polynomial:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, nvars: int, terms: dict[_Exps, GaussianRational]) -> "Polynomial":
+        """Take ownership of ``terms``, whose coefficients must all be nonzero."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
+        return cls._trusted(nvars, {})
 
     @classmethod
     def constant(cls, value: QLike, nvars: int) -> "Polynomial":
         c = to_gaussian(value)
-        out = object.__new__(cls)
-        out.nvars = nvars
-        out.terms = {(0,) * nvars: c} if c else {}
-        return out
+        return cls._trusted(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
-        return cls.constant(ONE, nvars)
+        """The constant one; the same instance for every call with this ``nvars``."""
+        one = _ONES.get(nvars)
+        if one is None:
+            one = _ONES[nvars] = cls._trusted(nvars, {(0,) * nvars: ONE})
+        return one
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Polynomial":
@@ -257,10 +276,16 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, exps: _Exps, coeff: QLike, nvars: int) -> "Polynomial":
+        """``coeff`` times the monomial with exponents ``exps``.
+
+        ``exps`` must hold ``nvars`` nonnegative ints; anything else raises
+        ``ValueError``.
+        """
+        key = tuple(exps)
+        if len(key) != nvars or any(e < 0 for e in key):
+            raise ValueError(f"monomial exponents {key!r} are not {nvars} nonnegative ints")
         c = to_gaussian(coeff)
-        if not c:
-            return cls(nvars)
-        return cls(nvars, {tuple(exps): c})
+        return cls._trusted(nvars, {key: c} if c else {})
 
     # -- predicates and views --------------------------------------------------
 
@@ -309,6 +334,10 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             acc = terms.get(exps)
@@ -320,22 +349,27 @@ class Polynomial:
                     terms[exps] = acc
                 else:
                     del terms[exps]
-        return Polynomial(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        if not self.terms or not other.terms:
-            return Polynomial(self.nvars)
+        left, right = self.terms, other.terms
+        if not left or not right:
+            return Polynomial._trusted(self.nvars, {})
+        if len(right) == 1:
+            return self._times_term(right)
+        if len(left) == 1:
+            return other._times_term(left)
         terms: dict[_Exps, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                exps = tuple(map(add, e1, e2))
                 prod = c1 * c2
                 acc = terms.get(exps)
                 if acc is None:
@@ -346,13 +380,28 @@ class Polynomial:
                         terms[exps] = acc
                     else:
                         del terms[exps]
-        return Polynomial(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, terms)
+
+    def _times_term(self, term: dict[_Exps, GaussianRational]) -> "Polynomial":
+        """Product with a one-term polynomial, given by its ``terms``.
+
+        A constant scales the coefficients (and ``1`` returns ``self``); a
+        monomial shifts every key, which keeps distinct keys distinct.
+        """
+        ((shift, c),) = term.items()
+        if not any(shift):
+            return self if c == ONE else self.scale(c)
+        if c == ONE:
+            terms = {tuple(map(add, e, shift)): k for e, k in self.terms.items()}
+        else:
+            terms = {tuple(map(add, e, shift)): k * c for e, k in self.terms.items()}
+        return Polynomial._trusted(self.nvars, terms)
 
     def scale(self, factor: QLike) -> "Polynomial":
         c = to_gaussian(factor)
         if not c:
-            return Polynomial(self.nvars)
-        return Polynomial(self.nvars, {e: k * c for e, k in self.terms.items()})
+            return Polynomial._trusted(self.nvars, {})
+        return Polynomial._trusted(self.nvars, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -381,16 +430,16 @@ class Polynomial:
 
     def partial(self, index: int) -> "Polynomial":
         """Partial derivative with respect to variable ``index``."""
-        terms: dict[_Exps, GaussianRational] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if not e:
-                continue
-            new = exps[:index] + (e - 1,) + exps[index + 1 :]
-            c = coeff * e
-            acc = terms.get(new)
-            terms[new] = acc + c if acc is not None else c
-        return Polynomial(self.nvars, {e: c for e, c in terms.items() if c})
+        # Lowering one exponent is injective on the terms that have it, and
+        # a nonzero coefficient times a positive exponent stays nonzero.
+        return Polynomial._trusted(
+            self.nvars,
+            {
+                exps[:index] + (exps[index] - 1,) + exps[index + 1 :]: coeff * exps[index]
+                for exps, coeff in self.terms.items()
+                if exps[index]
+            },
+        )
 
     def set_vars_to_zero(self, indices: Iterable[int]) -> "Polynomial":
         """Evaluate the listed variables at zero."""

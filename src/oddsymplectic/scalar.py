@@ -4,7 +4,11 @@ A :class:`Scalar` is a reduced fraction ``num/den`` of :class:`Polynomial`
 values: the gcd of numerator and denominator is one and the denominator is
 lex-monic, so equal rational functions have identical representations and
 ``==`` is semantic equality.  Denominator one is the common case and is kept
-cheap.
+cheap: every such scalar holds the shared ``Polynomial.one(nvars)`` as its
+denominator, so sums, products and derivatives of two of them build the
+numerator alone.  The identity test is only a shortcut; a denominator equal
+to one but not shared (a copy, say) takes the general path to the same
+result.
 """
 
 from __future__ import annotations
@@ -18,6 +22,18 @@ from .poly import Polynomial
 __all__ = ["Scalar", "ScalarLike"]
 
 ScalarLike = Union["Scalar", Polynomial, GaussianRational, Fraction, int]
+
+
+def _over_one(num: Polynomial, one: Polynomial) -> "Scalar":
+    """``num / 1``, which is in normal form for every ``num``.
+
+    ``one`` must be ``Polynomial.one(num.nvars)``, passed by callers that
+    already hold it.
+    """
+    out = object.__new__(Scalar)
+    out.num = num
+    out.den = one
+    return out
 
 
 def _normalise(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -45,8 +61,11 @@ class Scalar:
     den: Polynomial
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None) -> None:
-        if den is None:
-            den = Polynomial.one(num.nvars)
+        one = Polynomial.one(num.nvars)
+        if den is None or den is one:
+            self.num = num
+            self.den = one
+            return
         if num.nvars != den.nvars:
             raise ValueError("numerator and denominator over different variable sets")
         if den.is_zero():
@@ -91,6 +110,8 @@ class Scalar:
                 raise ValueError("scalar over a different variable set")
             return value
         if isinstance(value, Polynomial):
+            if value.nvars != nvars:
+                raise ValueError("polynomial over a different variable set")
             return cls(value)
         return cls.constant(value, nvars)
 
@@ -123,9 +144,9 @@ class Scalar:
         o = Scalar.coerce(other, self.nvars)
         a, b = self.num, self.den
         c, d = o.num, o.den
+        if b is d and b is Polynomial.one(b.nvars):
+            return _over_one(a + c, b)
         if b == d:
-            if b.is_constant():
-                return Scalar._from_reduced(a + c, b)
             return Scalar(a + c, b)
         g1, b1, d1 = b.cofactors(d)
         if g1.is_constant():
@@ -157,6 +178,8 @@ class Scalar:
         o = Scalar.coerce(other, self.nvars)
         a, b = self.num, self.den
         c, d = o.num, o.den
+        if b is d and b is Polynomial.one(b.nvars):
+            return _over_one(a * c, b)
         if a.is_zero() or c.is_zero():
             return Scalar.zero(self.nvars)
         if not d.is_constant():
@@ -202,8 +225,9 @@ class Scalar:
 
     def partial(self, index: int) -> "Scalar":
         """Partial derivative (quotient rule; exact reduction)."""
-        if self.is_polynomial():
-            return Scalar(self.num.partial(index), self.den)
+        den = self.den
+        if den is Polynomial.one(den.nvars):
+            return _over_one(self.num.partial(index), den)
         dn = self.num.partial(index)
         dd = self.den.partial(index)
         return Scalar(dn * self.den - self.num * dd, self.den * self.den)

@@ -248,6 +248,14 @@ class SuperFunction:
     # -- constructors --------------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, chart: Chart, terms: dict[int, Scalar]) -> "SuperFunction":
+        """Take ownership of ``terms``, whose coefficients must all be nonzero."""
+        out = object.__new__(cls)
+        out.chart = chart
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, chart: Chart) -> "SuperFunction":
         return cls(chart)
 
@@ -270,7 +278,7 @@ class SuperFunction:
 
     def _coerce(self, value: Like) -> "SuperFunction":
         if isinstance(value, SuperFunction):
-            if value.chart != self.chart:
+            if value.chart is not self.chart and value.chart != self.chart:
                 raise ChartMismatch(
                     f"operands live on charts {self.chart.name!r} and {value.chart.name!r}"
                 )
@@ -348,12 +356,12 @@ class SuperFunction:
                     del terms[mask]
                 else:
                     terms[mask] = acc
-        return SuperFunction(self.chart, terms)
+        return SuperFunction._trusted(self.chart, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SuperFunction":
-        return SuperFunction(self.chart, {m: -c for m, c in self.terms.items()})
+        return SuperFunction._trusted(self.chart, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Like) -> "SuperFunction":
         return self + (-self._coerce(other))
@@ -370,7 +378,9 @@ class SuperFunction:
         scalar = Scalar.coerce(factor, self.chart.nvars)
         if scalar.is_zero():
             return SuperFunction(self.chart)
-        return SuperFunction(self.chart, {m: c * scalar for m, c in self.terms.items()})
+        return SuperFunction._trusted(
+            self.chart, {m: c * scalar for m, c in self.terms.items()}
+        )
 
     def __mul__(self, other: Like) -> "SuperFunction":
         if not isinstance(other, SuperFunction):
@@ -395,7 +405,7 @@ class SuperFunction:
                         del terms[mask]
                     else:
                         terms[mask] = acc
-        return SuperFunction(self.chart, terms)
+        return SuperFunction._trusted(self.chart, terms)
 
     def __rmul__(self, other: Like) -> "SuperFunction":
         if isinstance(other, SuperFunction):
@@ -472,7 +482,7 @@ class SuperFunction:
                 continue
             sign = (mask & below).bit_count() & 1
             terms[mask ^ probe] = -coeff if sign else coeff
-        return SuperFunction(self.chart, terms)
+        return SuperFunction._trusted(self.chart, terms)
 
     def derivative(self, name: str) -> "SuperFunction":
         """Derivative along any generator (left derivative when odd)."""
