@@ -15,7 +15,7 @@ structure Hamiltonian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import (
     ChartMismatch,
@@ -40,6 +40,12 @@ __all__ = [
 
 # Failure messages an axiom check collects before it stops.
 MAX_FAILURES = 16
+
+
+def _require_darboux(chart: Chart) -> None:
+    """Refuse a chart that does not pair every even coordinate with an odd one."""
+    if len(chart.even_coords) != len(chart.odd_coords):
+        raise ChartMismatch(f"chart {chart.name!r} is not of Darboux type")
 
 
 @dataclass(frozen=True)
@@ -72,10 +78,7 @@ class PoissonStructure:
     @classmethod
     def darboux_odd(cls, chart: Chart) -> "PoissonStructure":
         """The canonical odd bracket pairing ``x^i`` with ``th_i``."""
-        if len(chart.even_coords) != len(chart.odd_coords):
-            raise ChartMismatch(
-                f"chart {chart.name!r} does not pair its even and odd coordinates"
-            )
+        _require_darboux(chart)
         return cls(chart, tuple(zip(chart.even_coords, chart.odd_coords)), 1)
 
     def bracket(self, f: SuperFunction, g: SuperFunction) -> SuperFunction:
@@ -111,8 +114,7 @@ def odd_poisson_bracket(f: SuperFunction, g: SuperFunction) -> SuperFunction:
     chart = f.chart
     if g.chart != chart:
         raise ChartMismatch("bracket operands live on different charts")
-    if len(chart.even_coords) != len(chart.odd_coords):
-        raise ChartMismatch(f"chart {chart.name!r} is not of Darboux type")
+    _require_darboux(chart)
     f_even = f.even_part()
     f_odd = f.odd_part()
     result = SuperFunction.zero(chart)
@@ -157,128 +159,101 @@ class AxiomReport:
         return self.parity_ok and self.antisymmetry_ok and self.leibniz_ok and self.jacobi_ok
 
 
-def _check_one_triple(
-    report: AxiomReport,
+def _shift_sign(p: int, q: int, eps: int) -> int:
+    """``(-1)^{(p + eps)(q + eps)}``: the sign of swapping shifted degrees."""
+    return -1 if ((p + eps) * (q + eps)) & 1 else 1
+
+
+def _jacobi_sum(
+    bracket: Callable[[SuperFunction, SuperFunction], SuperFunction],
+    inner: Callable[[SuperFunction, SuperFunction], SuperFunction],
     eps: int,
     f: SuperFunction,
     g: SuperFunction,
     h: SuperFunction,
-    fg: SuperFunction,
-    gf: SuperFunction,
-    gh: SuperFunction,
-    hf: SuperFunction,
-    fh: SuperFunction,
-    f_of_prod_gh: SuperFunction,
-    f_of_gh: SuperFunction,
-    g_of_hf: SuperFunction,
-    h_of_fg: SuperFunction,
-    label: str,
-) -> None:
-    pf = f.parity_or_raise("axiom input")
-    pg = g.parity_or_raise("axiom input")
-    ph = h.parity_or_raise("axiom input")
+) -> SuperFunction:
+    """The graded-Jacobi cyclic sum, taking the inner brackets from ``inner``."""
+    pf = f.parity_or_raise("jacobi input")
+    pg = g.parity_or_raise("jacobi input")
+    ph = h.parity_or_raise("jacobi input")
+    return (
+        bracket(f, inner(g, h)).scale(_shift_sign(pf, ph, eps))
+        + bracket(g, inner(h, f)).scale(_shift_sign(pg, pf, eps))
+        + bracket(h, inner(f, g)).scale(_shift_sign(ph, pg, eps))
+    )
 
-    expected_parity = (pf + pg + eps) & 1
-    if not fg.is_zero() and fg.parity() != expected_parity:
-        report.parity_ok = False
-        report.failures.append(f"parity: p({{f,g}}) != p(f)+p(g)+{eps} for {label}")
 
-    sign = -1 if ((pf + eps) * (pg + eps)) & 1 else 1
-    if not (fg + gf.scale(sign)).is_zero():
-        report.antisymmetry_ok = False
-        report.failures.append(f"antisymmetry violated for {label}")
+def _memoised(
+    operation: Callable[[SuperFunction, SuperFunction], SuperFunction],
+) -> Callable[[SuperFunction, SuperFunction], SuperFunction]:
+    """``operation`` with its results kept by operand identity.
 
-    leib_sign = -1 if ((pf + eps) * pg) & 1 else 1
-    residue = f_of_prod_gh - fg * h - (g * fh).scale(leib_sign)
-    if not residue.is_zero():
-        report.leibniz_ok = False
-        report.failures.append(f"Leibniz rule violated for {label}")
+    Each entry holds its operands too, so no address in a key can be reused
+    while the memo lives.  Identity keys avoid ``SuperFunction.__hash__``,
+    which rebuilds frozensets on every call.
+    """
+    memo: dict[tuple[int, int], tuple[SuperFunction, SuperFunction, SuperFunction]] = {}
 
-    s_fh = -1 if ((pf + eps) * (ph + eps)) & 1 else 1
-    s_gf = -1 if ((pg + eps) * (pf + eps)) & 1 else 1
-    s_hg = -1 if ((ph + eps) * (pg + eps)) & 1 else 1
-    jac = f_of_gh.scale(s_fh) + g_of_hf.scale(s_gf) + h_of_fg.scale(s_hg)
-    if not jac.is_zero():
-        report.jacobi_ok = False
-        report.failures.append(f"Jacobi identity violated for {label}")
+    def call(a: SuperFunction, b: SuperFunction) -> SuperFunction:
+        key = (id(a), id(b))
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (a, b, operation(a, b))
+        return entry[2]
 
-    report.triples_checked += 1
+    return call
 
 
 def check_axioms(
     bracket: Callable[[SuperFunction, SuperFunction], SuperFunction],
     eps: int,
     *,
-    functions: Sequence[SuperFunction] | None = None,
-    triples: Iterable[tuple[SuperFunction, SuperFunction, SuperFunction]] | None = None,
+    triples: Iterable[tuple[SuperFunction, SuperFunction, SuperFunction]],
 ) -> AxiomReport:
     """Verify parity, graded antisymmetry, Leibniz, and graded Jacobi.
 
-    Either pass ``functions`` (every ordered triple of the family is checked,
-    with pairwise brackets and products computed once) or an explicit
-    iterable of ``triples``.  All inputs must be parity-homogeneous.  The
-    check stops after :data:`MAX_FAILURES` failure messages.
+    Checks each ``(f, g, h)`` of ``triples``; pass
+    ``itertools.product(family, repeat=3)`` to check a family exhaustively.
+    Brackets and products of two inputs are computed once per call.  All
+    inputs must be parity-homogeneous.  The check stops after
+    :data:`MAX_FAILURES` failure messages.
     """
-    report = AxiomReport(parity=eps & 1)
     eps = eps & 1
-    if (functions is None) == (triples is None):
-        raise ValueError("pass exactly one of functions= or triples=")
-
-    if functions is not None:
-        fns = list(functions)
-        btab = [[bracket(a, b) for b in fns] for a in fns]
-        ptab = [[a * b for b in fns] for a in fns]
-        for i, f in enumerate(fns):
-            for j, g in enumerate(fns):
-                for k, h in enumerate(fns):
-                    if len(report.failures) >= MAX_FAILURES:
-                        report.failures.append("... further failures suppressed")
-                        return report
-                    _check_one_triple(
-                        report,
-                        eps,
-                        f,
-                        g,
-                        h,
-                        btab[i][j],
-                        btab[j][i],
-                        btab[j][k],
-                        btab[k][i],
-                        btab[i][k],
-                        bracket(f, ptab[j][k]),
-                        bracket(f, btab[j][k]),
-                        bracket(g, btab[k][i]),
-                        bracket(h, btab[i][j]),
-                        f"triple ({i},{j},{k})",
-                    )
-        return report
-
+    report = AxiomReport(parity=eps)
+    pair_bracket = _memoised(bracket)
+    product = _memoised(SuperFunction.__mul__)
     for idx, (f, g, h) in enumerate(triples):
         if len(report.failures) >= MAX_FAILURES:
             report.failures.append("... further failures suppressed")
             break
-        fg = bracket(f, g)
-        gf = bracket(g, f)
-        gh = bracket(g, h)
-        hf = bracket(h, f)
-        fh = bracket(f, h)
-        _check_one_triple(
-            report,
-            eps,
-            f,
-            g,
-            h,
-            fg,
-            gf,
-            gh,
-            hf,
-            fh,
-            bracket(f, g * h),
-            bracket(f, gh),
-            bracket(g, hf),
-            bracket(h, fg),
-            f"triple #{idx}",
+        label = f"triple #{idx}"
+        pf = f.parity_or_raise("axiom input")
+        pg = g.parity_or_raise("axiom input")
+        fg = pair_bracket(f, g)
+
+        if not fg.is_zero() and fg.parity() != (pf + pg + eps) & 1:
+            report.parity_ok = False
+            report.failures.append(f"parity: p({{f,g}}) != p(f)+p(g)+{eps} for {label}")
+
+        if not (fg + pair_bracket(g, f).scale(_shift_sign(pf, pg, eps))).is_zero():
+            report.antisymmetry_ok = False
+            report.failures.append(f"antisymmetry violated for {label}")
+
+        leibniz_sign = -1 if ((pf + eps) * pg) & 1 else 1
+        residue = (
+            bracket(f, product(g, h))
+            - fg * h
+            - (g * pair_bracket(f, h)).scale(leibniz_sign)
         )
+        if not residue.is_zero():
+            report.leibniz_ok = False
+            report.failures.append(f"Leibniz rule violated for {label}")
+
+        if not _jacobi_sum(bracket, pair_bracket, eps, f, g, h).is_zero():
+            report.jacobi_ok = False
+            report.failures.append(f"Jacobi identity violated for {label}")
+
+        report.triples_checked += 1
     return report
 
 
@@ -290,18 +265,7 @@ def jacobi_defect(
     h: SuperFunction,
 ) -> SuperFunction:
     """The graded-Jacobi cyclic sum (zero iff the identity holds here)."""
-    pf = f.parity_or_raise("jacobi input")
-    pg = g.parity_or_raise("jacobi input")
-    ph = h.parity_or_raise("jacobi input")
-    eps = eps & 1
-    s1 = -1 if ((pf + eps) * (ph + eps)) & 1 else 1
-    s2 = -1 if ((pg + eps) * (pf + eps)) & 1 else 1
-    s3 = -1 if ((ph + eps) * (pg + eps)) & 1 else 1
-    return (
-        bracket(f, bracket(g, h)).scale(s1)
-        + bracket(g, bracket(h, f)).scale(s2)
-        + bracket(h, bracket(f, g)).scale(s3)
-    )
+    return _jacobi_sum(bracket, bracket, eps & 1, f, g, h)
 
 
 # -- cotangent-type structures and derived brackets ---------------------------------

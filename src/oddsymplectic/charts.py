@@ -446,6 +446,12 @@ class Density:
         )
 
 
+def _require_semidensity(density: Density) -> None:
+    """Refuse a density whose weight is not one-half."""
+    if density.weight != Fraction(1, 2):
+        raise ValueError(f"expected a semidensity (weight 1/2), got weight {density.weight}")
+
+
 def transform_density(density: Density, transition: Transition) -> Density:
     """Push a density through a transition: substitution times ``Ber^weight``."""
     if density.chart != transition.source:
@@ -465,8 +471,7 @@ def transform_density(density: Density, transition: Transition) -> Density:
 
 def canonical_delta(density: Density) -> Density:
     """The odd Laplacian on semidensities: ``Delta_0`` on the coefficient."""
-    if density.weight != Fraction(1, 2):
-        raise ValueError("the canonical Laplacian acts on semidensities (weight 1/2)")
+    _require_semidensity(density)
     return Density(density.chart, delta0(density.coefficient), density.weight)
 
 
@@ -476,8 +481,7 @@ def delta_q(q: SuperFunction, density: Density) -> Density:
     ``delta_q(s) = (Delta_0 q) s - {q, s}`` on coefficients; for odd ``q``
     it commutes with the canonical Laplacian.
     """
-    if density.weight != Fraction(1, 2):
-        raise ValueError("delta_q acts on semidensities (weight 1/2)")
+    _require_semidensity(density)
     s = density.coefficient
     coeff = delta0(q) * s - odd_poisson_bracket(q, s)
     return Density(density.chart, coeff, density.weight)
@@ -490,8 +494,7 @@ def lie_derivative_density(f: SuperFunction, density: Density) -> Density:
     coefficients ``(Delta_0 f) s + (-1)^{p(f)} {f, s}``, extended to mixed
     parity by linearity.
     """
-    if density.weight != Fraction(1, 2):
-        raise ValueError("the Lie derivative here acts on semidensities (weight 1/2)")
+    _require_semidensity(density)
     s = density.coefficient
     out = SuperFunction.zero(density.chart)
     for part in (f.even_part(), f.odd_part()):

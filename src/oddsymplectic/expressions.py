@@ -470,14 +470,29 @@ def chart_to_dict(chart: Chart) -> dict[str, Any]:
     }
 
 
+def _mapping(data: Any, what: str) -> Mapping[str, Any]:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _names(data: Mapping[str, Any], key: str, default: tuple[str, ...] = ()) -> tuple[str, ...]:
+    names = data.get(key, default)
+    if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"chart field {key!r} must be a list of generator names")
+    return tuple(names)
+
+
 def chart_from_dict(data: Mapping[str, Any]) -> Chart:
+    """The chart a JSON object describes; a malformed shape raises ``ValueError``."""
+    data = _mapping(data, "a chart")
     return Chart(
         name=str(data.get("name", "C")),
-        even_coords=tuple(data.get("evens", ())),
-        odd_coords=tuple(data.get("odds", ())),
-        fiber_odds=tuple(data.get("fibers", ())),
-        external_odds=tuple(data.get("externals", ())),
-        params=tuple(data.get("params", ("hbar",))),
+        even_coords=_names(data, "evens"),
+        odd_coords=_names(data, "odds"),
+        fiber_odds=_names(data, "fibers"),
+        external_odds=_names(data, "externals"),
+        params=_names(data, "params", ("hbar",)),
     )
 
 
@@ -527,10 +542,12 @@ def transition_to_dict(transition: Transition) -> dict[str, Any]:
 
 
 def transition_from_dict(data: Mapping[str, Any]) -> Transition:
+    """The transition a JSON object describes; a malformed shape raises ``ValueError``."""
+    data = _mapping(data, "a transition")
     source = chart_from_dict(data["source"])
     target = chart_from_dict(data["target"])
     images = {
         str(name): parse_expression(str(text), target)
-        for name, text in data.get("images", {}).items()
+        for name, text in _mapping(data.get("images", {}), "transition field 'images'").items()
     }
     return Transition(source, target, images)

@@ -28,7 +28,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .brackets import odd_poisson_bracket
-from .charts import Density, Transition, _shift_images, transform_density
+from .charts import (
+    Density,
+    Transition,
+    _require_semidensity,
+    _shift_images,
+    transform_density,
+)
 from .errors import (
     ChartMismatch,
     NoExactSquareRoot,
@@ -143,8 +149,7 @@ def form_to_semidensity(omega: SuperFunction) -> Density:
 
 def semidensity_to_form(density: Density) -> SuperFunction:
     """The inverse bridge: a semidensity's differential form."""
-    if density.weight != Fraction(1, 2):
-        raise ValueError("the form bridge applies to semidensities (weight 1/2)")
+    _require_semidensity(density)
     dchart = density.chart
     fchart = forms_partner(dchart)
     n = len(fchart.fiber_odds)

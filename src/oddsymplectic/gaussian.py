@@ -77,6 +77,10 @@ class GaussianRational:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self) -> tuple:
+        # The default protocol restores slots through __setattr__, which refuses.
+        return (_make, (self.a, self.b, self.d))
+
     @property
     def re(self) -> Fraction:
         """The real part ``a/d``."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .brackets import PoissonStructure
+from .brackets import PoissonStructure, _require_darboux
 from .errors import ChartMismatch, NonInvertibleBody, ParityViolation
 from .superalgebra import Chart, SuperFunction
 
@@ -38,11 +38,6 @@ __all__ = [
     "modular_hamiltonian",
     "modular_operator",
 ]
-
-
-def _require_darboux(chart: Chart) -> None:
-    if len(chart.even_coords) != len(chart.odd_coords):
-        raise ChartMismatch(f"chart {chart.name!r} is not of Darboux type")
 
 
 # Per conjugate pair (x^i, th_i): (d log rho / dx^i, d log rho / dth_i).

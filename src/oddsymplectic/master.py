@@ -30,7 +30,7 @@ from .charts import Density, canonical_delta
 from .errors import ChartMismatch, NotProportional, ParityViolation
 from .forms import form_degree_component, semidensity_to_form
 from .laplacians import VolumeForm, delta0
-from .superalgebra import OddKind, SuperFunction
+from .superalgebra import OddKind, SuperFunction, _nilpotent_series
 
 __all__ = [
     "nilpotent_exponential",
@@ -56,15 +56,7 @@ def nilpotent_exponential(g: SuperFunction) -> SuperFunction:
         raise ValueError(
             "the exponential terminates only for a vanishing theta-free part"
         )
-    total = SuperFunction.one(g.chart)
-    power = SuperFunction.one(g.chart)
-    k = 0
-    while True:
-        k += 1
-        power = power * g
-        if power.is_zero():
-            return total
-        total = total + power.scale(Fraction(1, math.factorial(k)))
+    return _nilpotent_series(g, lambda k: Fraction(1, math.factorial(k)))
 
 
 def exp_identity_residual(g: SuperFunction) -> SuperFunction:

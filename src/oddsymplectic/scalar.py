@@ -74,6 +74,10 @@ class Scalar:
             _, num, den = num.cofactors(den)
         self.num, self.den = _normalise(num, den)
 
+    def __reduce__(self) -> tuple:
+        # Rebuilding through __init__ gives a denominator-one copy the shared one.
+        return (Scalar, (self.num, self.den))
+
     # -- constructors --------------------------------------------------------
 
     @classmethod

@@ -16,9 +16,10 @@ equality of values is equality of representations.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     ChartMismatch,
@@ -507,16 +508,7 @@ class SuperFunction:
         )
         if nilpotent.is_zero():
             return SuperFunction.from_scalar(self.chart, body_inv)
-        u = nilpotent.scale(body_inv)
-        series = SuperFunction.one(self.chart)
-        power = SuperFunction.one(self.chart)
-        sign = 1
-        for _ in range(self.chart.nodds):
-            power = power * u
-            if power.is_zero():
-                break
-            sign = -sign
-            series = series + (power if sign > 0 else -power)
+        series = _nilpotent_series(nilpotent.scale(body_inv), lambda k: -1 if k & 1 else 1)
         return series.scale(body_inv)
 
     def sqrt_even(self) -> "SuperFunction":
@@ -553,20 +545,11 @@ class SuperFunction:
         u = SuperFunction(self.chart, {m: c for m, c in self.terms.items() if m}).scale(
             body.invert()
         )
-        result = SuperFunction.one(self.chart)
-        power = SuperFunction.one(self.chart)
-        coeff = Fraction(1)
-        k = 0
-        while True:
-            power = power * u
-            if power.is_zero():
-                break
-            k += 1
-            coeff = coeff * (Fraction(1, 2) - (k - 1)) / k
-            result = result + power.scale(coeff)
-            if 2 * k > self.chart.nodds:
-                break
-        return result.scale(root_body)
+        # The coefficients of sqrt(1 + u): binom(1/2, k) = C(2k, k) / ((-4)^k (1 - 2k)).
+        series = _nilpotent_series(
+            u, lambda k: Fraction(math.comb(2 * k, k), (-4) ** k * (1 - 2 * k))
+        )
+        return series.scale(root_body)
 
     # -- substitution and integration ----------------------------------------------------------------
 
@@ -725,3 +708,26 @@ class SuperFunction:
         exist with the same parity in the target.
         """
         return self.substitute({}, target)
+
+
+def _nilpotent_series(u: SuperFunction, c: Callable[[int], ScalarLike]) -> SuperFunction:
+    """The finite sum ``1 + sum_{k >= 1} c(k) u^k`` for ``u`` without a body.
+
+    Every term of ``u^k`` has at least ``k*d`` odd factors, ``d`` the lowest
+    odd degree in ``u``, so the sum stops as soon as ``k*d`` exceeds the
+    chart's odd generators, or earlier at the first zero power.
+    """
+    total = SuperFunction.one(u.chart)
+    if not u.terms:
+        return total
+    d = min(m.bit_count() for m in u.terms)
+    power = u
+    k = 1
+    while True:
+        total = total + power.scale(c(k))
+        k += 1
+        if k * d > u.chart.nodds:
+            return total
+        power = power * u
+        if power.is_zero():
+            return total

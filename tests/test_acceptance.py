@@ -6,6 +6,7 @@ seeded generators, so every run checks the same cases.
 """
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -126,7 +127,7 @@ def test_criterion_01_bracket_axioms_on_exhaustive_basis():
     chart = Chart.darboux(2)
     basis = _monomial_basis(chart, ("x1", "x2"), ("th1", "th2"))
     assert len(basis) == 24
-    report = check_axioms(odd_poisson_bracket, 1, functions=basis)
+    report = check_axioms(odd_poisson_bracket, 1, triples=product(basis, repeat=3))
     assert report.triples_checked == len(basis) ** 3
     assert report.triples_checked >= 10_000
     assert report.all_ok, report.failures
@@ -354,7 +355,7 @@ def test_criterion_10_derived_bracket_jacobi_iff_master():
     assert master_condition(H).is_zero()
     x1, x2, th1, th2 = gens(base, "x1", "x2", "th1", "th2")
     family = [one(base), x1, x2 * x2, th1, x1 * th2, th1 * th2, x1 * x2 * th1]
-    report = check_axioms(H.derived_bracket, 1, functions=family)
+    report = check_axioms(H.derived_bracket, 1, triples=product(family, repeat=3))
     assert report.all_ok, report.failures
     for f in family:
         for g in family:
@@ -373,6 +374,7 @@ def test_criterion_10_derived_bracket_jacobi_iff_master():
     assert not master_condition(H_bad).is_zero()
     z1, z2, z3 = (SuperFunction.generator(base3, n) for n in ("z1", "z2", "z3"))
     assert not jacobi_defect(H_bad.derived_bracket, 0, z1, z2, z3).is_zero()
+    assert not check_axioms(H_bad.derived_bracket, 0, triples=[(z1, z2, z3)]).jacobi_ok
 
     # Parity-flipped: an even fiber-quadratic S on plain (even) fibers has
     # {S,S} = 0 identically -- the condition is automatic -- and the derived

@@ -1,5 +1,7 @@
 """Odd Poisson bracket, bracket axioms, and derived brackets."""
 
+from itertools import product
+
 import pytest
 
 from oddsymplectic.brackets import (
@@ -92,7 +94,7 @@ def test_axioms_on_small_family(c2):
         x1 * x2,
         x1 * th1 * th2,
     ]
-    report = check_axioms(odd_poisson_bracket, 1, functions=family)
+    report = check_axioms(odd_poisson_bracket, 1, triples=product(family, repeat=3))
     assert report.all_ok, report.failures
     assert report.triples_checked == len(family) ** 3
 
@@ -104,7 +106,58 @@ def test_axioms_detect_a_broken_bracket(c2):
     x1, th1 = gens(c2, "x1", "th1")
     report = check_axioms(broken, 1, triples=[(x1, th1, x1)])
     assert not report.all_ok
+    assert not report.parity_ok
     assert not report.antisymmetry_ok
+    assert not report.leibniz_ok
+    assert not report.jacobi_ok
+    assert report.triples_checked == 1
+
+
+def test_axioms_bracket_each_pair_of_inputs_once(c2):
+    # k^2 brackets of two inputs, then {f, g*h} and the three outer Jacobi
+    # brackets per triple; nine per triple would mean no pair is shared.
+    family = [SuperFunction.one(c2), *gens(c2, "x1", "th1", "th2")]
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return odd_poisson_bracket(f, g)
+
+    k = len(family)
+    report = check_axioms(counted, 1, triples=product(family, repeat=3))
+    assert report.all_ok, report.failures
+    assert len(calls) == k * k + 4 * k**3
+
+
+class _Fresh(SuperFunction):
+    """A copy in its own allocation size class: the blocks a freed copy
+    leaves go to the next copies, not to the temporaries of a check."""
+
+    __slots__ = ("pad1", "pad2", "pad3", "pad4", "pad5", "pad6", "pad7")
+
+
+def test_axioms_memo_never_serves_a_stale_operand(c2):
+    # Triples of fresh, equal copies of x1; the bracket breaks on the last
+    # one only, where {x1, x1} = x1^2 has the wrong parity.  A memo keyed by
+    # value, or by addresses it lets be freed and reused, serves the sound
+    # brackets of an earlier triple and misses the break.
+    total = 40
+    (x1,) = gens(c2, "x1")
+    state = {"broken": False}
+
+    def bracket(f, g):
+        return f * g if state["broken"] else odd_poisson_bracket(f, g)
+
+    def fresh_triples():
+        for index in range(total):
+            state["broken"] = index == total - 1
+            yield tuple(_Fresh(c2, x1.terms) for _ in range(3))
+
+    report = check_axioms(bracket, 1, triples=fresh_triples())
+    assert report.triples_checked == total
+    assert not report.parity_ok
+    assert report.failures
+    assert all(f"triple #{total - 1}" in failure for failure in report.failures)
 
 
 def test_classical_even_bracket():
@@ -159,7 +212,8 @@ def test_derived_bracket_bivector():
     assert bracket(z2, z1) == z1
     # any bivector on a 2-dimensional base satisfies Jacobi
     assert jacobi_defect(bracket, 0, z1, z2, z1 * z2).is_zero()
-    report = check_axioms(bracket, 0, functions=[z1, z2, z1 * z2, SuperFunction.one(base)])
+    family = [z1, z2, z1 * z2, SuperFunction.one(base)]
+    report = check_axioms(bracket, 0, triples=product(family, repeat=3))
     assert report.all_ok, report.failures
 
 

@@ -190,6 +190,21 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "odd" in err
 
 
+def test_malformed_chart_and_transition_json_exit_two(capsys):
+    line = {"evens": ["x1"], "odds": ["th1"]}
+    for argv in (
+        ("bracket", "x1", "th1", "--chart", "[]"),
+        ("bracket", "x1", "th1", "--chart", '{"evens": [1]}'),
+        ("bracket", "x", "y", "--chart", '{"evens": "xy", "odds": "ab"}'),
+        ("berezinian", '{"source": [], "target": []}'),
+        ("berezinian", json.dumps({"source": line, "target": line, "images": []})),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and "internal" not in err, argv
+
+
 def run_python(*argv):
     env = dict(os.environ, PYTHONPATH=str(Path(oddsymplectic.__file__).parents[1]))
     return subprocess.run(

@@ -54,4 +54,7 @@ def test_unused_methods_and_options_are_gone():
         assert not hasattr(owner, name), name
     # The bounds are module constants (MAX_FAILURES, MAX_FLOW_STEPS).
     assert "max_failures" not in inspect.signature(check_axioms).parameters
+    # One axiom loop: an exhaustive family is passed as the product of triples.
+    assert list(inspect.signature(check_axioms).parameters) == ["bracket", "eps", "triples"]
+    assert not hasattr(importlib.import_module("oddsymplectic.brackets"), "_check_one_triple")
     assert list(inspect.signature(exponentiate_hamiltonian).parameters) == ["q", "time"]

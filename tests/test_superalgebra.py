@@ -1,5 +1,7 @@
 """Supercommutative algebra: monomial order, signs, inversion, substitution."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ from oddsymplectic.errors import (
     UnknownGenerator,
 )
 from oddsymplectic.gaussian import GaussianRational
+from oddsymplectic.master import nilpotent_exponential
+from oddsymplectic.poly import Polynomial
 from oddsymplectic.superalgebra import Chart, OddKind, SuperFunction, koszul_sign
 
 
@@ -137,6 +141,98 @@ def test_sqrt_even_rejections(c2):
     f = x1 * x1 + th1 * th2
     root = f.sqrt_even()
     assert root * root == f
+
+
+def _round_trips(value):
+    yield pickle.loads(pickle.dumps(value))
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+
+
+def test_values_pickle_and_copy(c2):
+    x1, x2, th1, th2 = gens(c2, "x1", "x2", "th1", "th2")
+    f = (x1 + th1 * th2) / (SuperFunction.one(c2) + x2) + x1.scale(GaussianRational(0, 1)) * th1
+    values = [
+        GaussianRational(1, 2),
+        GaussianRational(Fraction(-3, 4)),
+        x1.terms[0].num,
+        *f.terms.values(),
+        f,
+    ]
+    for value in values:
+        for twin in _round_trips(value):
+            assert type(twin) is type(value)
+            assert twin == value
+            assert hash(twin) == hash(value)
+    # A denominator-one scalar comes back holding the shared one.
+    den_one = x1.terms[0]
+    for twin in _round_trips(den_one):
+        assert twin.den is Polynomial.one(den_one.nvars)
+
+
+# -- the nilpotent series behind invert, sqrt_even and exp --------------------------
+
+
+@pytest.fixture
+def c5e():
+    """Six odd generators: five coordinates and one external constant."""
+    return Chart.darboux(5, externals=("eps1",))
+
+
+def test_invert_with_odd_nilpotent_parts(c5e):
+    x1, x2, th1, th2, th3, eps1 = gens(c5e, "x1", "x2", "th1", "th2", "th3", "eps1")
+    one = SuperFunction.one(c5e)
+    for f in (
+        x1 + th1,
+        one.scale(3) + x2 * th1 + th2 * th3 * eps1,
+        x1 * x1 + one + th1 + th2 + th3 * th1 * x2 + th1 * th2 * th3 * eps1,
+        (one + x2) / (one + x1) + eps1 * th3 + th1 * th2,
+    ):
+        inv = f.invert()
+        assert f * inv == one
+        assert inv * f == one
+
+
+def test_sqrt_even_squares_back(c5e):
+    x1, x2, th1, th2, th3, th4, th5, eps1 = gens(
+        c5e, "x1", "x2", "th1", "th2", "th3", "th4", "th5", "eps1"
+    )
+    one = SuperFunction.one(c5e)
+    for f in (
+        x1 * x1 * (one + th1 * th2 + th3 * th4 * x2),
+        ((one + x2) * (one + x2)).scale(4) + th1 * th5 + th2 * th3 * th4 * eps1,
+        (one + x1) * (one + x1) + th1 * th2 + th3 * th4 + th5 * eps1,
+    ):
+        root = f.sqrt_even()
+        assert root * root == f
+
+
+def test_exp_of_a_sum_of_commuting_even_nilpotents(c5e):
+    x1, th1, th2, th3, th4, th5, eps1 = gens(
+        c5e, "x1", "th1", "th2", "th3", "th4", "th5", "eps1"
+    )
+    a = x1 * th1 * th2 + th3 * th4
+    b = th5 * eps1 + (th1 * th4).scale(Fraction(1, 3))
+    assert nilpotent_exponential(a + b) == nilpotent_exponential(a) * nilpotent_exponential(b)
+
+
+def test_series_keep_the_power_where_k_times_d_reaches_nodds(c5e):
+    # u has lowest odd degree d = 2 and u^3 = 6 th1 th2 th3 th4 th5 eps1 with
+    # 3 * 2 == nodds == 6: the sums stop only after this term.
+    th1, th2, th3, th4, th5, eps1 = gens(c5e, "th1", "th2", "th3", "th4", "th5", "eps1")
+    one = SuperFunction.one(c5e)
+    u = th1 * th2 + th3 * th4 + th5 * eps1
+    assert c5e.nodds == 6
+    assert not (u**3).is_zero()
+    assert (u**4).is_zero()
+    expected = one + u + (u**2).scale(Fraction(1, 2)) + (u**3).scale(Fraction(1, 6))
+    assert nilpotent_exponential(u) == expected
+    assert (one + u).invert() == one - u + u**2 - u**3
+    root = (one + u).sqrt_even()
+    assert root == one + u.scale(Fraction(1, 2)) - (u**2).scale(Fraction(1, 8)) + (
+        u**3
+    ).scale(Fraction(1, 16))
+    assert root * root == one + u
 
 
 def test_substitute_even_and_odd(c2):
