@@ -30,11 +30,12 @@ from .charts import (
 )
 from .errors import NoExactSquareRoot, OddSymplecticError
 from .expressions import (
+    _transition_charts,
+    _transition_images,
     chart_from_dict,
     format_superfunction,
     parse_expression,
     superfunction_to_dict,
-    transition_from_dict,
 )
 from .forms import form_to_semidensity, restrict_to_lagrangian, semidensity_to_form
 from .laplacians import VolumeForm, delta0, delta_rho
@@ -92,10 +93,12 @@ def _resolve_chart(args: argparse.Namespace, *, fiber: bool = False) -> Chart:
 
 
 def _resolve_transition(argument: str) -> Transition:
+    """The transition JSON describes; its charts meet the cap before it is built."""
     data = _load_json(argument)
-    _bounded(chart_from_dict(data["source"]))
-    _bounded(chart_from_dict(data["target"]))
-    return transition_from_dict(data)
+    source, target = _transition_charts(data)
+    _bounded(source)
+    _bounded(target)
+    return Transition(source, target, _transition_images(data, target))
 
 
 def _emit(args: argparse.Namespace, lines: Sequence[str], data: Any) -> None:

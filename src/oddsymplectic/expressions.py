@@ -476,10 +476,22 @@ def _mapping(data: Any, what: str) -> Mapping[str, Any]:
     return data
 
 
-def _names(data: Mapping[str, Any], key: str, default: tuple[str, ...] = ()) -> tuple[str, ...]:
+def _field(data: Mapping[str, Any], key: str, owner: str) -> Any:
+    if key not in data:
+        raise ValueError(f"{owner} field {key!r} is missing")
+    return data[key]
+
+
+def _chart_field(data: Mapping[str, Any], key: str, owner: str) -> Chart:
+    return chart_from_dict(_mapping(_field(data, key, owner), f"{owner} field {key!r}"))
+
+
+def _names(
+    data: Mapping[str, Any], key: str, default: tuple[str, ...] = (), *, owner: str = "chart"
+) -> tuple[str, ...]:
     names = data.get(key, default)
     if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
-        raise ValueError(f"chart field {key!r} must be a list of generator names")
+        raise ValueError(f"{owner} field {key!r} must be a list of generator names")
     return tuple(names)
 
 
@@ -513,18 +525,20 @@ def superfunction_to_dict(f: SuperFunction) -> dict[str, Any]:
 
 
 def superfunction_from_dict(data: Mapping[str, Any]) -> SuperFunction:
-    chart = chart_from_dict(data["chart"])
+    """The function a JSON object describes; a malformed shape raises ``ValueError``."""
+    data = _mapping(data, "a superfunction")
+    chart = _chart_field(data, "chart", "superfunction")
+    terms = data.get("terms", ())
+    if not isinstance(terms, (list, tuple)):
+        raise ValueError("superfunction field 'terms' must be a list of term objects")
     total = SuperFunction.zero(chart)
-    for item in data.get("terms", ()):
-        value = parse_expression(str(item["num"]), chart)
+    for item in terms:
+        item = _mapping(item, "a superfunction term")
+        value = parse_expression(str(_field(item, "num", "term")), chart)
         den = item.get("den", "1")
         if str(den) != "1":
             value = value / parse_expression(str(den), chart)
-        for name in item.get("monomial", ()):
-            if not chart.has_generator(name):
-                raise UnknownGenerator(
-                    f"{name!r} is not a generator of chart {chart.name!r}"
-                )
+        for name in _names(item, "monomial", owner="term"):
             value = value * SuperFunction.generator(chart, name)
         total = total + value
     return total
@@ -541,13 +555,18 @@ def transition_to_dict(transition: Transition) -> dict[str, Any]:
     }
 
 
+def _transition_charts(data: Any) -> tuple[Chart, Chart]:
+    """The source and target charts of a transition object, its shape checked."""
+    data = _mapping(data, "a transition")
+    return _chart_field(data, "source", "transition"), _chart_field(data, "target", "transition")
+
+
+def _transition_images(data: Mapping[str, Any], target: Chart) -> dict[str, SuperFunction]:
+    images = _mapping(data.get("images", {}), "transition field 'images'")
+    return {str(name): parse_expression(str(text), target) for name, text in images.items()}
+
+
 def transition_from_dict(data: Mapping[str, Any]) -> Transition:
     """The transition a JSON object describes; a malformed shape raises ``ValueError``."""
-    data = _mapping(data, "a transition")
-    source = chart_from_dict(data["source"])
-    target = chart_from_dict(data["target"])
-    images = {
-        str(name): parse_expression(str(text), target)
-        for name, text in _mapping(data.get("images", {}), "transition field 'images'").items()
-    }
-    return Transition(source, target, images)
+    source, target = _transition_charts(data)
+    return Transition(source, target, _transition_images(data, target))

@@ -13,7 +13,10 @@ sign ``C`` and the normalisation are pinned so that on a two-dimensional base
     w dx1 dx2    ->  -w,
 
 and so that the two directions are mutually inverse and intertwine the de
-Rham differential with the coefficient Laplacian ``Delta_0``.
+Rham differential with the coefficient Laplacian ``Delta_0``.  On each
+monomial the transform is the complementary monomial times a sign, and it is
+computed by that sign rule (``_complement``); the tests keep the kernel as
+the oracle the rule is checked against.
 
 The remaining operations ride on the bridge: divergence of multivector
 fields against a base volume, the shift action of odd-valued one-forms, a
@@ -27,7 +30,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .brackets import odd_poisson_bracket
 from .charts import (
     Density,
     Transition,
@@ -100,15 +102,20 @@ def forms_partner(darboux_chart: Chart) -> Chart:
     return replace(darboux_chart, odd_coords=(), fiber_odds=xis)
 
 
-def _kernel(doubled: Chart, n: int, sign: int) -> SuperFunction:
-    """``exp(sign * sum_k xi^k th_k)`` as a finite product of binomials."""
-    acc = SuperFunction.one(doubled)
-    for k in range(1, n + 1):
-        pair = SuperFunction.generator(doubled, f"xi{k}") * SuperFunction.generator(
-            doubled, f"th{k}"
-        )
-        acc = acc * (SuperFunction.one(doubled) + pair.scale(sign))
-    return acc
+def _complement(f: SuperFunction, target: Chart, sign: int) -> SuperFunction:
+    """Send each ``c u_S e`` to ``sign (-1)^{sum S} c u_{S'} e`` on ``target``.
+
+    ``u_S`` uses the first ``n`` odd bits (``xi`` or ``th``) with 0-based
+    indices ``S``; the externals ``e`` sit at the same bits on both charts.
+    """
+    n = len(target.even_coords)
+    block = (1 << n) - 1
+    odd = sum(1 << bit for bit in range(1, n, 2))  # (-1)^{sum S} = (-1)^{#(S & odd)}
+    flip = sign < 0
+    terms: dict[int, Scalar] = {}
+    for mask, c in f.terms.items():
+        terms[mask ^ block] = -c if (mask & odd).bit_count() & 1 != flip else c
+    return SuperFunction._trusted(target, terms)
 
 
 def form_degree_component(omega: SuperFunction, k: int) -> SuperFunction:
@@ -135,29 +142,15 @@ def de_rham(omega: SuperFunction) -> SuperFunction:
 
 def form_to_semidensity(omega: SuperFunction) -> Density:
     """Turn a form into the semidensity with the pinned monomial images."""
-    fchart = omega.chart
-    dchart = darboux_partner(fchart)
-    n = len(dchart.odd_coords)
-    doubled = replace(dchart, fiber_odds=fchart.fiber_odds)
-    c = 1 if n % 2 else -1  # (-1)^(n+1)
-    prefactor = -1 if (n * (n - 1) // 2) % 2 else 1
-    integrand = _kernel(doubled, n, c) * omega.retarget(doubled)
-    integrated = integrand.berezin_integral(f"xi{k}" for k in range(1, n + 1))
-    coefficient = integrated.scale(prefactor).retarget(dchart)
-    return Density.semidensity(coefficient)
+    return Density.semidensity(_complement(omega, darboux_partner(omega.chart), 1))
 
 
 def semidensity_to_form(density: Density) -> SuperFunction:
     """The inverse bridge: a semidensity's differential form."""
     _require_semidensity(density)
-    dchart = density.chart
-    fchart = forms_partner(dchart)
+    fchart = forms_partner(density.chart)
     n = len(fchart.fiber_odds)
-    doubled = replace(dchart, fiber_odds=fchart.fiber_odds)
-    c = -1 if n % 2 else 1  # (-1)^n
-    integrand = _kernel(doubled, n, c) * density.coefficient.retarget(doubled)
-    integrated = integrand.berezin_integral(f"th{k}" for k in range(1, n + 1))
-    return integrated.retarget(fchart)
+    return _complement(density.coefficient, fchart, (-1) ** (n * (n - 1) // 2))
 
 
 # -- base densities and multivector divergence --------------------------------------------
@@ -320,12 +313,13 @@ def restrict_to_lagrangian(
 
     The one-form must be closed (checked); the result is the top-degree
     component of the form of the shifted semidensity — the density the
-    semidensity induces on that Lagrangian surface.
+    semidensity induces on that Lagrangian surface.  By the bridge's sign
+    rule that component is the ``th``-free part of the shifted coefficient
+    times ``(-1)^{n(n-1)/2}``.
     """
     chart = density.chart
     n = _base_dimension(chart, forms=False)
     shift = Transition.shift_one_form(chart, chart, list(alpha))
     moved = transform_density(density, shift)
-    form = semidensity_to_form(moved)
-    top = form.berezin_integral(f"xi{k}" for k in range(1, n + 1))
-    return BaseDensity(chart, top.retarget(chart))
+    top = moved.coefficient.drop_odd_bits(chart.mask_of_kind(OddKind.COORDINATE))
+    return BaseDensity(chart, top.scale((-1) ** (n * (n - 1) // 2)))

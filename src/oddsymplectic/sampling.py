@@ -2,8 +2,8 @@
 
 Sampling policy: integer coefficients in ``[-3, 3]``, polynomial degree at
 most 3, dimension at most 5 (the tests cover every dimension up to the cap,
-including n = 4, the first where the form bridge's kernel sign is -1 and its
-prefactor +1).  The identities under test are multilinear in
+including n = 4 and 5, where the form bridge's inverse sign
+``(-1)^{n(n-1)/2}`` is +1 again after -1 at n = 2 and 3).  The identities under test are multilinear in
 their inputs, so small random samples (backed elsewhere by exhaustive
 monomial bases) give full coverage while keeping exact arithmetic cheap.
 """

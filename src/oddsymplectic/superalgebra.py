@@ -158,7 +158,7 @@ class Chart:
         externals: Iterable[str] = (),
         params: Iterable[str] = ("hbar",),
     ) -> "Chart":
-        """Chart with both ``th`` and ``xi`` blocks (Fourier-kernel workspace)."""
+        """Chart with both ``th`` and ``xi`` blocks."""
         return cls(
             name=name,
             even_coords=tuple(f"x{i}" for i in range(1, n + 1)),

@@ -205,6 +205,20 @@ def test_malformed_chart_and_transition_json_exit_two(capsys):
         assert err.startswith("error:") and "internal" not in err, argv
 
 
+def test_malformed_transition_json_names_the_field(capsys):
+    line = {"evens": ["x1"], "odds": ["th1"]}
+    for document, message in (
+        ([], "a transition must be a JSON object, got list"),
+        ({}, "transition field 'source' is missing"),
+        ({"source": line}, "transition field 'target' is missing"),
+        ({"source": line, "target": 5}, "transition field 'target' must be a JSON object"),
+    ):
+        for command in ("berezinian", "check-transition"):
+            code, out, err = run(capsys, command, json.dumps(document))
+            assert (code, out) == (2, ""), document
+            assert err.startswith(f"error: {message}"), err
+
+
 def run_python(*argv):
     env = dict(os.environ, PYTHONPATH=str(Path(oddsymplectic.__file__).parents[1]))
     return subprocess.run(

@@ -283,3 +283,42 @@ def test_transition_dict_round_trip():
     assert rebuilt.source == src
     assert rebuilt.target == tgt
     assert rebuilt.images == scaling.images
+
+
+LINE = {"evens": ["x1"], "odds": ["th1"]}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({}, "superfunction field 'chart' is missing"),
+        ([], "a superfunction must be a JSON object, got list"),
+        ({"chart": 5}, "superfunction field 'chart' must be a JSON object"),
+        ({"chart": LINE, "terms": 5}, "superfunction field 'terms' must be a list"),
+        ({"chart": LINE, "terms": {"num": "1"}}, "superfunction field 'terms' must be a list"),
+        ({"chart": LINE, "terms": ["x1"]}, "a superfunction term must be a JSON object"),
+        ({"chart": LINE, "terms": [{"den": "2"}]}, "term field 'num' is missing"),
+        (
+            {"chart": LINE, "terms": [{"num": "1", "monomial": "th1"}]},
+            "term field 'monomial' must be a list",
+        ),
+    ],
+)
+def test_malformed_superfunction_dict_names_the_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        superfunction_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "a transition must be a JSON object, got list"),
+        ({}, "transition field 'source' is missing"),
+        ({"source": LINE}, "transition field 'target' is missing"),
+        ({"source": [], "target": LINE}, "transition field 'source' must be a JSON object"),
+        ({"source": LINE, "target": LINE, "images": []}, "transition field 'images'"),
+    ],
+)
+def test_malformed_transition_dict_names_the_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        transition_from_dict(data)

@@ -143,6 +143,152 @@ def test_bridge_round_trips_on_monomials(n):
             assert form_to_semidensity(semidensity_to_form(s)) == s
 
 
+# -- the kernel oracle ------------------------------------------------------------
+#
+# The bridge is defined as an odd Fourier transform: a Berezin integral against
+# ``exp(C sum_k xi^k th_k)`` on a chart carrying both odd blocks.  The library
+# computes it by a sign rule on monomials; the kernel construction below is the
+# independent oracle that rule is checked against.
+
+
+def _doubled(chart):
+    n = len(chart.even_coords)
+    return Chart.doubled(n, name=chart.name, externals=chart.external_odds, params=chart.params)
+
+
+def _kernel(doubled, n, sign):
+    """``exp(sign * sum_k xi^k th_k)`` as a finite product of binomials."""
+    acc = one(doubled)
+    for k in range(1, n + 1):
+        xi, th = gens(doubled, f"xi{k}", f"th{k}")
+        acc = acc * (one(doubled) + (xi * th).scale(sign))
+    return acc
+
+
+def kernel_form_to_semidensity(omega):
+    dchart = darboux_partner(omega.chart)
+    n = len(dchart.odd_coords)
+    doubled = _doubled(dchart)
+    c = 1 if n % 2 else -1  # (-1)^(n+1)
+    prefactor = -1 if (n * (n - 1) // 2) % 2 else 1
+    integrand = _kernel(doubled, n, c) * omega.retarget(doubled)
+    integrated = integrand.berezin_integral(f"xi{k}" for k in range(1, n + 1))
+    return Density.semidensity(integrated.scale(prefactor).retarget(dchart))
+
+
+def kernel_semidensity_to_form(density):
+    dchart = density.chart
+    fchart = forms_partner(dchart)
+    n = len(fchart.fiber_odds)
+    doubled = _doubled(dchart)
+    c = -1 if n % 2 else 1  # (-1)^n
+    integrand = _kernel(doubled, n, c) * density.coefficient.retarget(doubled)
+    integrated = integrand.berezin_integral(f"th{k}" for k in range(1, n + 1))
+    return integrated.retarget(fchart)
+
+
+def kernel_restrict_to_lagrangian(density, alpha):
+    chart = density.chart
+    n = len(chart.even_coords)
+    moved = transform_density(density, Transition.shift_one_form(chart, chart, list(alpha)))
+    form = kernel_semidensity_to_form(moved)
+    top = form.berezin_integral(f"xi{k}" for k in range(1, n + 1))
+    return top.retarget(chart)
+
+
+def odd_monomials(chart):
+    """Every product of a subset of the chart's odd generators, with its names."""
+    names = chart.odds
+    for mask in range(1 << len(names)):
+        picked = [names[b] for b in bits_of(mask)]
+        acc = one(chart)
+        for name in picked:
+            acc = acc * SuperFunction.generator(chart, name)
+        yield picked, acc
+
+
+@pytest.mark.parametrize("externals", [(), ("eps1", "eps2")])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bridge_matches_kernel_oracle_on_every_monomial(n, externals):
+    fchart = Chart.forms(n, externals=externals)
+    dchart = darboux_partner(fchart)
+    coeff_f = one(fchart) + gens(fchart, "x1")[0].scale(2)
+    coeff_d = one(dchart) + gens(dchart, "x1")[0].scale(2)
+    for picked, monomial in odd_monomials(fchart):
+        omega = coeff_f * monomial
+        assert form_to_semidensity(omega) == kernel_form_to_semidensity(omega), picked
+    for picked, monomial in odd_monomials(dchart):
+        s = Density.semidensity(coeff_d * monomial)
+        assert semidensity_to_form(s) == kernel_semidensity_to_form(s), picked
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bridge_matches_kernel_oracle_on_rational_forms(n):
+    fchart = Chart.forms(n, externals=("eps1",))
+    dchart = darboux_partner(fchart)
+    rng = Random(100 + n)
+    for chart in (fchart, dchart):
+        x = gens(chart, *chart.even_coords)
+        rationals = [
+            (one(chart) + x[0] * x[0]).invert(),
+            (one(chart) + x[-1]).invert() * x[0],
+        ]
+        for _ in range(3):
+            f = zero(chart)
+            for r in rationals:
+                f = f + sampling.random_superfunction(rng, chart) * r
+            if chart is fchart:
+                assert form_to_semidensity(f) == kernel_form_to_semidensity(f)
+            else:
+                s = Density.semidensity(f)
+                assert semidensity_to_form(s) == kernel_semidensity_to_form(s)
+
+
+def test_restriction_matches_kernel_oracle_on_random_closed_forms():
+    nonzero = total = 0
+    for n in range(1, 6):
+        chart = Chart.darboux(n, externals=("nu1", "nu2"))
+        rng = Random(200 + n)
+        for _ in range(4):
+            potential = zero(chart)
+            for nu in gens(chart, *chart.external_odds):
+                potential = potential + nu * sampling.random_even_polynomial(rng, chart)
+            alpha = [potential.derivative(x) for x in chart.even_coords]  # closed: exact
+            # a body and a term linear in one th keep most tops nonzero
+            th = SuperFunction.generator(chart, rng.choice(chart.odd_coords))
+            body = sampling.random_even_polynomial(rng, chart)
+            coefficient = sampling.random_superfunction(rng, chart) + body * (one(chart) + th)
+            s = Density.semidensity(coefficient)
+            top = restrict_to_lagrangian(s, alpha).coefficient
+            assert top == kernel_restrict_to_lagrangian(s, alpha)
+            total += 1
+            nonzero += not top.is_zero()
+    assert 2 * nonzero >= total
+
+
+def test_bridge_makes_no_products_substitutions_or_integrals(monkeypatch):
+    calls = []
+
+    def counting(name):
+        original = getattr(SuperFunction, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(SuperFunction, name, wrapper)
+
+    fchart = Chart.forms(3, externals=("eps1",))
+    dchart = darboux_partner(fchart)
+    omega = sampling.random_superfunction(Random(7), fchart)
+    s = sampling.random_semidensity(Random(8), dchart)
+    for name in ("__mul__", "substitute", "berezin_integral"):
+        counting(name)
+    form_to_semidensity(omega)
+    semidensity_to_form(s)
+    assert calls == []
+
+
 def test_bridge_rejects_wrong_weight():
     dchart = Chart.darboux(1)
     with pytest.raises(ValueError):
@@ -180,8 +326,8 @@ def test_de_rham_matches_laplacian_through_bridge():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_bridge_on_random_forms_past_dimension_three(n):
-    # n = 4 is the first dimension with kernel sign (-1)^(n+1) = -1 and
-    # prefactor (-1)^(n(n-1)/2) = +1; n = 5 has both signs +1.
+    # n = 4 and 5 are the dimensions past n = 1 where the inverse bridge's
+    # sign (-1)^(n(n-1)/2) is +1, against -1 at n = 2 and 3.
     assert n <= sampling.MAX_DIMENSION
     fchart = Chart.forms(n)
     dchart = darboux_partner(fchart)
