@@ -3,13 +3,17 @@
 The central case is the odd Poisson (Buttin) bracket on a Darboux chart with
 pairs ``x^i, th_i``:
 
-    {f, g} = sum_i ( df/dx^i * dg/dth_i + (-1)^{p(f)} df/dth_i * dg/dx^i ),
+    {f, g} = sum_i ( df/dx^i * dg/dth_i + df~/dth_i * dg/dx^i ),
 
-all derivatives acting from the left.  The same machinery supports an even
-or odd bracket for arbitrary conjugate pairs ``(u^A, v_A)`` with
-``p(v_A) = p(u_A) + eps``, which covers cotangent and parity-reversed
-cotangent charts and hence derived brackets on a base from a fiber-quadratic
-structure Hamiltonian.
+all derivatives acting from the left, with ``f~ = f_even - f_odd`` so that
+no parity split of ``f`` is needed.  The pairs ``(df/dx^i, df~/dth_i)`` form
+the Hamiltonian derivation ``D_f = {f, .}``, which also gives vector fields,
+``{log rho, .}``, Lie derivatives and flows.
+
+The same machinery supports an even or odd bracket for arbitrary conjugate
+pairs ``(u^A, v_A)`` with ``p(v_A) = p(u_A) + eps``, which covers cotangent
+and parity-reversed cotangent charts and hence derived brackets on a base
+from a fiber-quadratic structure Hamiltonian.
 """
 
 from __future__ import annotations
@@ -109,33 +113,54 @@ class PoissonStructure:
         return result
 
 
-def odd_poisson_bracket(f: SuperFunction, g: SuperFunction) -> SuperFunction:
-    """Canonical odd bracket on a Darboux chart (pairs ``x^i, th_i``)."""
+# Per conjugate pair (x^i, th_i): the coefficients (a_i, b_i) of a derivation
+# sum_i (a_i d/dth_i + b_i d/dx^i).
+_Derivation = tuple[tuple[SuperFunction, SuperFunction], ...]
+
+
+def _twisted(f: SuperFunction) -> SuperFunction:
+    """``f_even - f_odd``: each homogeneous part times ``(-1)^{p}``."""
+    return SuperFunction._trusted(
+        f.chart, {m: -c if m.bit_count() & 1 else c for m, c in f.terms.items()}
+    )
+
+
+def _hamiltonian_derivation(f: SuperFunction) -> _Derivation:
+    """``D_f = {f, .}`` as ``(df/dx^i, df~/dth_i)`` per pair, for any parity of ``f``."""
     chart = f.chart
-    if g.chart != chart:
-        raise ChartMismatch("bracket operands live on different charts")
     _require_darboux(chart)
-    f_even = f.even_part()
-    f_odd = f.odd_part()
+    twisted = _twisted(f)
+    return tuple(
+        (f.partial_even(x_name), twisted.partial_odd(th_name))
+        for x_name, th_name in zip(chart.even_coords, chart.odd_coords)
+    )
+
+
+def _apply_derivation(derivation: _Derivation, g: SuperFunction) -> SuperFunction:
+    """``sum_i (a_i dg/dth_i + b_i dg/dx^i)``."""
+    chart = g.chart
     result = SuperFunction.zero(chart)
-    for x_name, th_name in zip(chart.even_coords, chart.odd_coords):
-        dg_dth = g.partial_odd(th_name)
-        dg_dx = g.partial_even(x_name)
-        if not f_even.is_zero():
-            result = result + f_even.partial_even(x_name) * dg_dth
-            result = result + f_even.partial_odd(th_name) * dg_dx
-        if not f_odd.is_zero():
-            result = result + f_odd.partial_even(x_name) * dg_dth
-            result = result - f_odd.partial_odd(th_name) * dg_dx
+    for x_name, th_name, (a, b) in zip(chart.even_coords, chart.odd_coords, derivation):
+        if not a.is_zero():
+            result = result + a * g.partial_odd(th_name)
+        if not b.is_zero():
+            result = result + b * g.partial_even(x_name)
     return result
 
 
+def odd_poisson_bracket(f: SuperFunction, g: SuperFunction) -> SuperFunction:
+    """Canonical odd bracket on a Darboux chart (pairs ``x^i, th_i``)."""
+    if g.chart != f.chart:
+        raise ChartMismatch("bracket operands live on different charts")
+    return _apply_derivation(_hamiltonian_derivation(f), g)
+
+
 def hamiltonian_vector_field(f: SuperFunction) -> dict[str, SuperFunction]:
-    """Components of ``D_f`` on the generators: ``{name: {f, name}}``."""
+    """Components ``{name: {f, name}}`` of ``D_f``: its coefficients, with no product."""
     chart = f.chart
-    out: dict[str, SuperFunction] = {}
-    for name in chart.even_coords + chart.odd_coords:
-        out[name] = odd_poisson_bracket(f, SuperFunction.generator(chart, name))
+    derivation = _hamiltonian_derivation(f)
+    out = {x_name: b for x_name, (_, b) in zip(chart.even_coords, derivation)}
+    out.update((th_name, a) for th_name, (a, _) in zip(chart.odd_coords, derivation))
     return out
 
 

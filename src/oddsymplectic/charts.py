@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .brackets import odd_poisson_bracket
+from .brackets import _apply_derivation, _hamiltonian_derivation, _twisted, odd_poisson_bracket
 from .errors import (
     ChartMismatch,
     InvalidTransition,
@@ -357,10 +357,9 @@ def symplectomorphism_defects(transition: Transition) -> list[SuperFunction]:
     imgs = transition.images
     n = len(src.even_coords)
     for i, zi in enumerate(coords):
-        for j, zj in enumerate(coords):
-            if j < i:
-                continue
-            got = odd_poisson_bracket(imgs[zi], imgs[zj])
+        derivation = _hamiltonian_derivation(imgs[zi])
+        for j, zj in enumerate(coords[i:], start=i):
+            got = _apply_derivation(derivation, imgs[zj])
             if j == i + n and i < n:  # conjugate pair (x^i, th_i)
                 got = got - SuperFunction.one(transition.target)
             if not got.is_zero():
@@ -436,15 +435,6 @@ class Density:
     def __sub__(self, other: "Density") -> "Density":
         return self + other.scale(-1)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Density):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.weight == other.weight
-            and self.coefficient == other.coefficient
-        )
-
 
 def _require_semidensity(density: Density) -> None:
     """Refuse a density whose weight is not one-half."""
@@ -492,16 +482,12 @@ def lie_derivative_density(f: SuperFunction, density: Density) -> Density:
 
     Defined as the commutator ``[Delta, f]`` acting on semidensities; on
     coefficients ``(Delta_0 f) s + (-1)^{p(f)} {f, s}``, extended to mixed
-    parity by linearity.
+    parity by linearity as ``(Delta_0 f) s + {f~, s}`` with
+    ``f~ = f_even - f_odd``.
     """
     _require_semidensity(density)
     s = density.coefficient
-    out = SuperFunction.zero(density.chart)
-    for part in (f.even_part(), f.odd_part()):
-        if part.is_zero():
-            continue
-        sign = -1 if (part.parity() or 0) else 1
-        out = out + delta0(part) * s + odd_poisson_bracket(part, s).scale(sign)
+    out = delta0(f) * s + odd_poisson_bracket(_twisted(f), s)
     return Density(density.chart, out, density.weight)
 
 
@@ -547,6 +533,7 @@ def exponentiate_hamiltonian(
         raise ParityViolation(
             "the generator t*q of a flow must be odd (p(t) + p(q) = 1)"
         )
+    d_q = _hamiltonian_derivation(q)
     images: dict[str, SuperFunction] = {}
     for name in chart.even_coords + chart.odd_coords:
         term = SuperFunction.generator(chart, name)
@@ -554,7 +541,7 @@ def exponentiate_hamiltonian(
         t_power = SuperFunction.one(chart)
         factorial = 1
         for k in range(1, MAX_FLOW_STEPS + 1):
-            term = odd_poisson_bracket(q, term)
+            term = _apply_derivation(d_q, term)
             if term.is_zero():
                 break
             t_power = t_power * time

@@ -402,7 +402,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OddSymplecticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

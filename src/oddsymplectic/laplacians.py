@@ -6,10 +6,10 @@ function on a Darboux chart), the operator on functions is
     Delta_rho f = Delta_0 f + (1/2) {log rho, f},
     Delta_0 f   = sum_i d^2 f / dx^i dth_i,
 
-where ``{log rho, .}`` is expanded through the exact logarithmic derivatives
-``lambda = invert(rho) * d(rho)``.  They depend only on the volume, so a
-:class:`VolumeForm` computes them on its first Laplacian and keeps them for
-the instance's lifetime; :func:`modular_operator` never reads them and stays
+where ``{log rho, .} = rho^{-1} {rho, .}`` (the Hamiltonian derivation of
+``rho`` over ``rho``).  It depends only on the volume, so a
+:class:`VolumeForm` computes it on its first Laplacian and keeps it for
+the instance's lifetime; :func:`modular_operator` never reads it and stays
 the independent path.  The same operator arises as
 ``(1/2) (-1)^{p(f)} div_rho D_f`` for the canonical odd bracket; the
 divergence form is implemented independently (for brackets of either
@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .brackets import PoissonStructure, _require_darboux
+from .brackets import (
+    PoissonStructure,
+    _apply_derivation,
+    _Derivation,
+    _hamiltonian_derivation,
+    _require_darboux,
+    odd_poisson_bracket,
+)
 from .errors import ChartMismatch, NonInvertibleBody, ParityViolation
 from .superalgebra import Chart, SuperFunction
 
@@ -38,31 +45,6 @@ __all__ = [
     "modular_hamiltonian",
     "modular_operator",
 ]
-
-
-# Per conjugate pair (x^i, th_i): (d log rho / dx^i, d log rho / dth_i).
-_LogDerivative = tuple[tuple[SuperFunction, SuperFunction], ...]
-
-
-def _log_derivative(rho: SuperFunction) -> _LogDerivative:
-    """The components of ``lambda = d log rho``, as ``invert(rho) * d(rho)``."""
-    chart = rho.chart
-    _require_darboux(chart)
-    rho_inv = rho.invert()
-    return tuple(
-        (rho_inv * rho.partial_even(x_name), rho_inv * rho.partial_odd(th_name))
-        for x_name, th_name in zip(chart.even_coords, chart.odd_coords)
-    )
-
-
-def _apply_log_derivative(lam: _LogDerivative, f: SuperFunction) -> SuperFunction:
-    """``{log rho, f} = sum_i (lambda_{x^i} df/dth_i + lambda_{th_i} df/dx^i)``."""
-    chart = f.chart
-    result = SuperFunction.zero(chart)
-    for x_name, th_name, (lam_x, lam_th) in zip(chart.even_coords, chart.odd_coords, lam):
-        result = result + lam_x * f.partial_odd(th_name)
-        result = result + lam_th * f.partial_even(x_name)
-    return result
 
 
 @dataclass(frozen=True)
@@ -99,9 +81,12 @@ class VolumeForm:
         return VolumeForm(self.chart, self.coefficient * factor)
 
     @cached_property
-    def log_derivative(self) -> _LogDerivative:
-        """``(d log rho / dx^i, d log rho / dth_i)`` for each conjugate pair."""
-        return _log_derivative(self.coefficient)
+    def log_derivative(self) -> _Derivation:
+        """``(d log rho / dx^i, d log rho / dth_i)`` per pair: ``rho^{-1} D_rho``."""
+        rho_inv = self.coefficient.invert()
+        return tuple(
+            (rho_inv * a, rho_inv * b) for a, b in _hamiltonian_derivation(self.coefficient)
+        )
 
 
 def delta0(f: SuperFunction) -> SuperFunction:
@@ -115,11 +100,9 @@ def delta0(f: SuperFunction) -> SuperFunction:
 
 
 def log_derivative_bracket(rho: SuperFunction, f: SuperFunction) -> SuperFunction:
-    """``{log rho, f}`` expanded via ``invert(rho) * d(rho)``.
+    """``{log rho, f} = rho^{-1} {rho, f}``.
 
-    ``rho`` must be even with invertible body; the bracket of an even
-    element carries no extra signs:
-    ``{log rho, f} = sum_i ( dlog/dx^i df/dth_i + dlog/dth_i df/dx^i )``.
+    ``rho`` must be even with invertible body.
     """
     chart = f.chart
     _require_darboux(chart)
@@ -127,7 +110,7 @@ def log_derivative_bracket(rho: SuperFunction, f: SuperFunction) -> SuperFunctio
         raise ChartMismatch("volume and argument live on different charts")
     if rho.parity() != 0:
         raise ParityViolation("logarithmic derivative requires an even element")
-    return _apply_log_derivative(_log_derivative(rho), f)
+    return rho.invert() * odd_poisson_bracket(rho, f)
 
 
 def delta_rho(volume: VolumeForm, f: SuperFunction) -> SuperFunction:
@@ -137,7 +120,7 @@ def delta_rho(volume: VolumeForm, f: SuperFunction) -> SuperFunction:
     """
     if f.chart != volume.chart:
         raise ChartMismatch("volume and argument live on different charts")
-    half_bracket = _apply_log_derivative(volume.log_derivative, f).scale(Fraction(1, 2))
+    half_bracket = _apply_derivation(volume.log_derivative, f).scale(Fraction(1, 2))
     return delta0(f) + half_bracket
 
 

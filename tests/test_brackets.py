@@ -1,9 +1,11 @@
 """Odd Poisson bracket, bracket axioms, and derived brackets."""
 
 from itertools import product
+from random import Random
 
 import pytest
 
+from oddsymplectic import charts, sampling
 from oddsymplectic.brackets import (
     CotangentStructure,
     MasterHamiltonian,
@@ -15,7 +17,14 @@ from oddsymplectic.brackets import (
     master_condition,
     odd_poisson_bracket,
 )
+from oddsymplectic.charts import (
+    Density,
+    exponentiate_hamiltonian,
+    lie_derivative_density,
+    symplectomorphism_defects,
+)
 from oddsymplectic.errors import ChartMismatch, NotFiberQuadratic, ParityViolation
+from oddsymplectic.laplacians import log_derivative_bracket
 from oddsymplectic.superalgebra import Chart, SuperFunction
 
 
@@ -81,6 +90,36 @@ def test_bracket_matches_general_structure(c2):
     for f in samples:
         for g in samples:
             assert struct.bracket(f, g) == odd_poisson_bracket(f, g)
+
+
+def _mixed(rng, chart):
+    f = sampling.random_superfunction(rng, chart, degree=2, parity=0)
+    f = f + sampling.random_superfunction(rng, chart, degree=2, parity=1)
+    assert f.parity() is None
+    return f
+
+
+@pytest.mark.parametrize("n", range(1, sampling.MAX_DIMENSION + 1))
+def test_derivation_users_match_the_oracle_on_mixed_parity(n):
+    # The homogeneous samples above never exercise the twisted odd part of f
+    # against an odd part of g; here both operands are mixed.
+    rng = Random(4100 + n)
+    chart = sampling.default_chart(n)
+    struct = PoissonStructure.darboux_odd(chart)
+    for _ in range(3):
+        f, g = _mixed(rng, chart), _mixed(rng, chart)
+        assert odd_poisson_bracket(f, g) == struct.bracket(f, g)
+        field = hamiltonian_vector_field(f)
+        assert list(field) == list(chart.even_coords + chart.odd_coords)
+        for name, component in field.items():
+            assert component == odd_poisson_bracket(f, SuperFunction.generator(chart, name))
+        rho = sampling.random_volume(rng, chart, degree=1).coefficient
+        assert log_derivative_bracket(rho, f) == rho.invert() * struct.bracket(rho, f)
+        s = Density.semidensity(g)
+        by_parts = lie_derivative_density(f.even_part(), s) + lie_derivative_density(
+            f.odd_part(), s
+        )
+        assert lie_derivative_density(f, s) == by_parts
 
 
 def test_axioms_on_small_family(c2):
@@ -272,3 +311,56 @@ def test_bracket_chart_guards(c2):
             SuperFunction.generator(forms_only, "x1"),
             SuperFunction.generator(forms_only, "x1"),
         )
+
+
+# -- one derivation per Hamiltonian ---------------------------------------------------
+
+
+def _counting_derivations(monkeypatch) -> list[SuperFunction]:
+    built: list[SuperFunction] = []
+    original = charts._hamiltonian_derivation
+
+    def counted(f):
+        built.append(f)
+        return original(f)
+
+    monkeypatch.setattr(charts, "_hamiltonian_derivation", counted)
+    return built
+
+
+def test_vector_field_reads_the_derivation_without_products(monkeypatch):
+    chart = Chart.darboux(3)
+    f = _mixed(Random(7), chart)
+    expected = {
+        z: odd_poisson_bracket(f, SuperFunction.generator(chart, z))
+        for z in chart.even_coords + chart.odd_coords
+    }
+    products = []
+    original = SuperFunction.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(SuperFunction, "__mul__", counted)
+    assert hamiltonian_vector_field(f) == expected
+    assert products == []
+
+
+def test_flow_builds_its_hamiltonian_derivation_once(monkeypatch):
+    chart = Chart.darboux(2)
+    x1, x2, th1 = gens(chart, "x1", "x2", "th1")
+    q = x2 * th1 + x2 * x2 * th1
+    built = _counting_derivations(monkeypatch)
+    flow = exponentiate_hamiltonian(q, 1)
+    assert flow.images["x1"] != x1
+    assert built == [q]
+
+
+def test_symplectomorphism_defects_build_one_derivation_per_coordinate(monkeypatch):
+    chart = sampling.default_chart(3)
+    transition = sampling.random_point_transition(Random(3), chart, degree=2)
+    built = _counting_derivations(monkeypatch)
+    assert symplectomorphism_defects(transition) == []
+    assert len(built) == 2 * 3
+    assert built == [transition.images[z] for z in chart.even_coords + chart.odd_coords]

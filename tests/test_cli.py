@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oddsymplectic
-from oddsymplectic import brackets, expressions, master, suites
+from oddsymplectic import brackets, cli, expressions, master, suites
 from oddsymplectic.cli import main
 from oddsymplectic.expressions import (
     MAX_EXPONENT,
@@ -257,6 +257,20 @@ def test_internal_error_exits_three_with_one_line():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "internal error: RuntimeError('planted failure')\n"
+
+
+@pytest.mark.parametrize("planted", [KeyError("missing"), TypeError("planted failure")])
+def test_library_key_and_type_errors_are_internal_errors(capsys, monkeypatch, planted):
+    # Malformed input reaches the user as OSError or ValueError; a KeyError or
+    # TypeError from the library is a bug and must not pass as an input error.
+    def broken(f, g):
+        raise planted
+
+    monkeypatch.setattr(cli, "odd_poisson_bracket", broken)
+    code, out, err = run(capsys, "bracket", "x1", "th1")
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {planted!r}"
 
 
 def test_charts_past_the_dimension_cap_are_refused():
