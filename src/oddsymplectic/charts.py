@@ -152,6 +152,7 @@ class Transition:
     images: Mapping[str, SuperFunction]
 
     def __post_init__(self) -> None:
+        _require_matching_blocks(self.source, self.target)
         fixed: dict[str, SuperFunction] = {}
         for name in self.source.even_coords + self.source.odd_coords:
             img = self.images.get(name)
@@ -188,6 +189,7 @@ class Transition:
         cls, source: Chart, target: Chart, factors: Sequence[ScalarLike]
     ) -> "Transition":
         """Diagonal rescaling ``x^i -> c_i x'^i``, ``th_i -> th'_i / c_i``."""
+        _require_matching_blocks(source, target)
         n = len(source.even_coords)
         if len(factors) != n:
             raise InvalidTransition("need one factor per even coordinate")
@@ -212,6 +214,7 @@ class Transition:
         ``th_j = sum_k (J^{-1})_{kj} th'_k`` with ``J_ik = d phi^i / dx'^k``,
         which preserves the canonical bracket.
         """
+        _require_matching_blocks(source, target)
         n = len(source.even_coords)
         if len(phi) != n:
             raise InvalidTransition("need one image per even coordinate")
@@ -277,10 +280,22 @@ class Transition:
         return Transition(self.source, then.target, images)
 
 
+def _require_matching_blocks(source: Chart, target: Chart) -> None:
+    """A coordinate change keeps the number of even and of odd coordinates."""
+    src = (len(source.even_coords), len(source.odd_coords))
+    tgt = (len(target.even_coords), len(target.odd_coords))
+    if src != tgt:
+        raise InvalidTransition(
+            f"source chart {source.name!r} has {src[0]} even and {src[1]} odd coordinates, "
+            f"target chart {target.name!r} has {tgt[0]} and {tgt[1]}"
+        )
+
+
 def _shift_images(
     source: Chart, target: Chart, alpha: Sequence[SuperFunction]
 ) -> dict[str, SuperFunction]:
     """Checked images ``th_j -> th'_j + alpha_j`` of an odd shift (closedness aside)."""
+    _require_matching_blocks(source, target)
     if len(alpha) != len(source.even_coords):
         raise InvalidTransition("need one shift component per odd coordinate")
     for a in alpha:

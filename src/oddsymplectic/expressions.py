@@ -498,8 +498,14 @@ def _names(
 def chart_from_dict(data: Mapping[str, Any]) -> Chart:
     """The chart a JSON object describes; a malformed shape raises ``ValueError``."""
     data = _mapping(data, "a chart")
+    unknown = set(data) - {"name", "evens", "odds", "fibers", "externals", "params"}
+    if unknown:
+        raise ValueError(f"chart has unknown fields {sorted(map(str, unknown))}")
+    name = data.get("name", "C")
+    if not isinstance(name, str):
+        raise ValueError("chart field 'name' must be a string")
     return Chart(
-        name=str(data.get("name", "C")),
+        name=name,
         even_coords=_names(data, "evens"),
         odd_coords=_names(data, "odds"),
         fiber_odds=_names(data, "fibers"),

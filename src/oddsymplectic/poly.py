@@ -8,6 +8,16 @@ scalar coefficients, so everything here is exact.
 Exact division and the gcd share one kernel over Z[i]: :func:`_cleared`
 clears denominators and :func:`_divide_exact` is the one long division.
 :meth:`Polynomial.cofactors` (gcd and both quotients) reduces fractions.
+
+Before its heuristic, :meth:`Polynomial.gcd` tries two proofs modulo the
+prime ``p = 1 000 000 009 ≡ 1 (mod 4)``, where ``I`` has an image.  If, for
+every variable both operands hold, the univariate gcd of their images (other
+variables at fixed residues, both leading coefficients surviving) has
+degree 0, the true gcd has degree 0 in that variable (Brown, "On Euclid's
+algorithm and the computation of polynomial greatest common divisors",
+J. ACM 18, 1971), so it is 1.  If instead those gcds keep the full degree
+of one operand in each of its variables, one exact division decides
+whether that operand divides the other, and then it is the gcd.
 """
 
 from __future__ import annotations
@@ -27,6 +37,11 @@ _GaussInt = tuple[int, int]
 _GaussTerms = dict[_Exps, _GaussInt]
 
 _UNIT: _GaussInt = (1, 0)
+
+# The prime of the modular gcd proofs, ≡ 1 (mod 4), and a square root of -1
+# modulo it, the image of ``I``.
+_P = 1_000_000_009
+_I_MOD_P = 569_522_298
 
 
 class _HeuristicFailed(Exception):
@@ -217,6 +232,61 @@ def _heuristic_gcd(f: _GaussTerms, g: _GaussTerms, nvars: int) -> _GaussTerms:
                 return {e: (cr * re - ci * im, cr * im + ci * re) for e, (re, im) in cand.items()}
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     raise _HeuristicFailed
+
+
+def _residues(nvars: int) -> list[int]:
+    """The fixed nonzero points of Z/p at which the modular proofs put the variables."""
+    return [pow(3, 64 + j, _P) for j in range(nvars)]
+
+
+def _univariate_images(
+    terms: dict[_Exps, GaussianRational], indices: list[int], points: list[int]
+) -> dict[int, list[int]] | None:
+    """For each listed variable, the image of ``terms`` in Z/p[that variable].
+
+    ``I`` goes to :data:`_I_MOD_P` and every other variable to its point.
+    Each image is a dense coefficient list, lowest degree first, one entry
+    per degree up to the true degree, so its last entry is the image of the
+    leading coefficient.  ``None`` when ``p`` divides a denominator.
+    """
+    images: dict[int, dict[int, int]] = {index: {} for index in indices}
+    for exps, c in terms.items():
+        den = c.d
+        if not den % _P:
+            return None
+        value = (c.a + c.b * _I_MOD_P) % _P
+        if den != 1:
+            value = value * pow(den, -1, _P) % _P
+        for index, image in images.items():
+            v = value
+            for j, e in enumerate(exps):
+                if e and j != index:
+                    v = v * pow(points[j], e, _P) % _P
+            k = exps[index]
+            image[k] = (image.get(k, 0) + v) % _P
+    return {
+        index: [image.get(k, 0) for k in range(max(image) + 1)] for index, image in images.items()
+    }
+
+
+def _gcd_degree_mod_p(f: list[int], g: list[int]) -> int:
+    """Degree of the gcd in Z/p[x] of two dense coefficient lists with nonzero leads."""
+    f = list(f)
+    while g:
+        dg = len(g) - 1
+        if not dg:
+            return 0
+        inv = pow(g[-1], -1, _P)
+        while len(f) > dg:
+            q = f.pop() * inv % _P
+            if q:
+                shift = len(f) - dg
+                for k in range(dg):
+                    f[shift + k] = (f[shift + k] - q * g[k]) % _P
+        while f and not f[-1]:
+            f.pop()
+        f, g = list(g), f
+    return len(f) - 1
 
 
 # The shared constant one of each variable count, built on first use.
@@ -577,12 +647,59 @@ class Polynomial:
         return Polynomial(a.nvars, {e: GaussianRational(re, im) for e, (re, im) in h.items()})
 
     @staticmethod
+    def _gcd_modular(
+        a: "Polynomial", b: "Polynomial", vars_a: set[int], vars_b: set[int]
+    ) -> "Polynomial | None":
+        """The gcd when a computation modulo ``_P`` proves it, else ``None``.
+
+        Each variable both operands hold gets the univariate gcd of their
+        images (:func:`_univariate_images`), which must keep both leading
+        coefficients.  Its degree bounds the true gcd's degree in that
+        variable from above (Brown, J. ACM 18, 1971): the map to Z/p is a
+        ring homomorphism, and as it keeps both leading coefficients it
+        keeps the degree of every factor, so the true gcd goes to a common
+        divisor of the images of the same degree.  So degree 0 everywhere
+        proves the gcd is 1.  If instead the degree is
+        that of one operand in each of its variables, one exact division
+        over Z[i] checks whether that operand divides the other; if it
+        does, it is the gcd.
+        """
+        shared = sorted(vars_a & vars_b)
+        points = _residues(a.nvars)
+        images_a = _univariate_images(a.terms, shared, points)
+        images_b = _univariate_images(b.terms, shared, points)
+        if images_a is None or images_b is None:
+            return None
+        coprime, a_divides, b_divides = True, vars_a <= vars_b, vars_b <= vars_a
+        for index in shared:
+            fa, fb = images_a[index], images_b[index]
+            if not fa[-1] or not fb[-1]:
+                return None
+            degree = _gcd_degree_mod_p(fa, fb)
+            coprime = coprime and not degree
+            a_divides = a_divides and degree == len(fa) - 1
+            b_divides = b_divides and degree == len(fb) - 1
+            if not (coprime or a_divides or b_divides):
+                return None
+        if coprime:
+            return Polynomial.one(a.nvars)
+        small, large = (b, a) if b_divides else (a, b)
+        div = _cleared(small.terms)[0]
+        if _divide_exact(_cleared(large.terms)[0], _primitive(div, _content(div))) is None:
+            return None
+        return small.monic()
+
+    @staticmethod
     def gcd(a: "Polynomial", b: "Polynomial") -> "Polynomial":
         """Monic greatest common divisor over Q(i).
 
-        A shared monomial factor comes out first; the rest is found by the
-        Gaussian-integer evaluation heuristic, with a primitive
-        pseudo-remainder sequence as the fallback when the heuristic gives up.
+        A shared monomial factor comes out first, and a one-term operand or
+        no shared variable means the rest is 1.  Then two proofs modulo a
+        prime (:meth:`_gcd_modular`, after Brown, J. ACM 18, 1971) settle
+        coprime pairs and pairs where one operand divides the other.  Any
+        other pair goes to the Gaussian-integer evaluation heuristic, with
+        a primitive pseudo-remainder sequence as the fallback when the
+        heuristic gives up.
         """
         a._check(b)
         if a.is_zero():
@@ -597,9 +714,12 @@ class Polynomial:
             return (core * Polynomial.monomial(mins, 1, a.nvars)).monic()
         if len(a.terms) == 1 or len(b.terms) == 1:
             return Polynomial.one(a.nvars)
-        shared = a.variables_present() | b.variables_present()
-        if not shared:
+        vars_a, vars_b = a.variables_present(), b.variables_present()
+        if not vars_a & vars_b:
             return Polynomial.one(a.nvars)
+        proven = Polynomial._gcd_modular(a, b, vars_a, vars_b)
+        if proven is not None:
+            return proven
         heuristic = Polynomial._gcd_heuristic(a, b)
         if heuristic is not None:
             return heuristic.monic()

@@ -104,6 +104,8 @@ class Chart:
         for generator in names:
             if not generator.isidentifier():
                 raise ValueError(f"generator name {generator!r} is not an identifier")
+            if generator == "I":
+                raise ValueError("generator name 'I' is reserved for the imaginary unit")
         object.__setattr__(self, "evens", evens)
         object.__setattr__(self, "odds", odds)
         object.__setattr__(self, "_even_index", {n: i for i, n in enumerate(evens)})

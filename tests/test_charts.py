@@ -125,6 +125,22 @@ def test_point_transformation_rejects_odd_dependence():
         Transition.point(src, tgt, [x1p + th1p * th2p, x2p])
 
 
+@pytest.mark.parametrize("n_target", [1, 3])
+def test_every_constructor_refuses_blocks_of_different_sizes(n_target):
+    src = Chart.darboux(2)
+    tgt = Chart.darboux(n_target, name="P")
+    x1p = gens(tgt, "x1")[0]
+    zero = SuperFunction.zero(tgt)
+    for build in (
+        lambda: Transition(src, tgt, {}),
+        lambda: Transition.scaling(src, tgt, [1, 2]),
+        lambda: Transition.point(src, tgt, [x1p, x1p]),
+        lambda: Transition.shift_one_form(src, tgt, [zero, zero]),
+    ):
+        with pytest.raises(InvalidTransition, match="even and 2 odd"):
+            build()
+
+
 def test_composition_chain_rule_for_berezinians():
     a = Chart.darboux(1, name="A")
     b = Chart.darboux(1, name="B")

@@ -219,6 +219,44 @@ def test_malformed_transition_json_names_the_field(capsys):
             assert err.startswith(f"error: {message}"), err
 
 
+@pytest.mark.parametrize(
+    "target",
+    [{}, {"evens": ["y1"]}, {"evens": ["y1", "y2"], "odds": ["eta1", "eta2"]}],
+    ids=["point", "no-odd-block", "larger"],
+)
+def test_transitions_between_blocks_of_different_sizes_exit_two(capsys, target):
+    source = {"evens": ["x1"], "odds": ["th1"]}
+    zero_images = json.dumps({"source": source, "target": target, "images": {"x1": "0", "th1": "0"}})
+    one_images = json.dumps({"source": source, "target": target, "images": {"x1": "1", "th1": "0"}})
+    for argv in (
+        ("berezinian", zero_images),
+        ("check-transition", zero_images),
+        ("transform", one_images, "x1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: source chart") and "even" in err, err
+
+
+def test_reserved_generator_names_exit_two(capsys):
+    code, out, err = run(capsys, "bracket", "x1", "I", "--chart", '{"evens":["x1"],"odds":["I"]}')
+    assert (code, out) == (2, "")
+    assert err == "error: generator name 'I' is reserved for the imaginary unit"
+
+
+@pytest.mark.parametrize(
+    "chart, message",
+    [
+        ({"evens": ["x1"], "odds": ["th1"], "bogus": 1}, "error: chart has unknown fields ['bogus']"),
+        ({"name": ["I"], "evens": ["x1"], "odds": ["th1"]}, "error: chart field 'name' must be a string"),
+    ],
+    ids=["unknown-key", "list-name"],
+)
+def test_chart_json_with_unknown_keys_or_a_list_name_exits_two(capsys, chart, message):
+    code, out, err = run(capsys, "bracket", "x1", "th1", "--chart", json.dumps(chart))
+    assert (code, out, err) == (2, "", message)
+
+
 def run_python(*argv):
     env = dict(os.environ, PYTHONPATH=str(Path(oddsymplectic.__file__).parents[1]))
     return subprocess.run(

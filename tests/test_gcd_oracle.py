@@ -1,9 +1,9 @@
 """Gcd, cofactors, exact division and the Scalar normal form, checked against sympy.
 
 Polynomials in one to three variables with Gaussian-rational coefficients are
-generated with a planted common factor.  The oracle works in ``QQ_I``,
-sympy's field of Gaussian rationals.  ``sympy`` and ``hypothesis`` are
-test-only dependencies.
+generated with a planted common factor, or at random for the modular gcd
+proofs.  The oracle works in ``QQ_I``, sympy's field of Gaussian rationals.
+``sympy`` and ``hypothesis`` are test-only dependencies.
 """
 
 from fractions import Fraction
@@ -13,6 +13,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oddsymplectic import poly
 from oddsymplectic.gaussian import GaussianRational
 from oddsymplectic.poly import Polynomial
 from oddsymplectic.scalar import Scalar
@@ -160,3 +161,108 @@ def test_scalar_partial_matches_sympy_diff(case):
     assert derivative.den.leading()[1] == 1
     assert _to_sympy(derivative.den) == bottom.monic()
     assert _to_sympy(derivative.num) == top.quo_ground(bottom.LC())
+
+
+# -- the modular proofs before the heuristic ------------------------------------------
+
+
+def _modular(a: Polynomial, b: Polynomial) -> "Polynomial | None":
+    return Polynomial._gcd_modular(a, b, a.variables_present(), b.variables_present())
+
+
+@st.composite
+def _pair(draw) -> tuple[Polynomial, Polynomial]:
+    """Two independent polynomials in a shared variable set, mostly coprime."""
+    nvars = draw(st.integers(1, 3))
+    return draw(_polynomial(nvars)), draw(_polynomial(nvars))
+
+
+@SETTINGS
+@given(_pair())
+def test_gcd_of_random_pairs_matches_sympy(pair):
+    a, b = pair
+    assert _to_sympy(Polynomial.gcd(a, b)) == _lex_monic_gcd(a, b)
+
+
+@SETTINGS
+@given(_planted())
+def test_planted_common_factors_are_never_certified(polys):
+    u, v, w = polys
+    assume(not u.is_constant())
+    a, b = u * v, u * w
+    proven = _modular(a, b)
+    assert proven != Polynomial.one(a.nvars)
+    # The divisor proof may settle the pair, but only with the true gcd.
+    assert proven is None or _to_sympy(proven) == _lex_monic_gcd(a, b)
+
+
+@SETTINGS
+@given(_pair(), st.integers(1, 2))
+def test_a_leading_coefficient_vanishing_at_the_residues_is_inconclusive(pair, degree):
+    """``(x1 - r1) x0^k + ...`` has a leading coefficient in ``x0`` that is 0 mod p."""
+    u, b = pair
+    nvars = max(u.nvars, 2)
+    u, b = (
+        Polynomial(nvars, {e + (0,) * (nvars - p.nvars): c for e, c in p.terms.items()})
+        for p in (u, b)
+    )
+    assume(b.degree_in(0) > 0)
+    r1 = poly._residues(nvars)[1]
+    x0, x1 = Polynomial.variable(0, nvars), Polynomial.variable(1, nvars)
+    tail = u.set_vars_to_zero([0])
+    if tail.is_zero():
+        tail = Polynomial.one(nvars)
+    a = (x1 - Polynomial.constant(r1, nvars)) * x0 ** (b.degree_in(0) + degree) + tail
+    assert _modular(a, b) is None
+    assert _to_sympy(Polynomial.gcd(a, b)) == _lex_monic_gcd(a, b)
+
+
+@SETTINGS
+@given(_pair(), st.integers(1, 3))
+def test_a_denominator_divisible_by_p_is_inconclusive(pair, multiple):
+    a, b = pair
+    assume(len(a.terms) > 1 and a.variables_present() & b.variables_present())
+    exps, coeff = next(iter(a.terms.items()))
+    terms = dict(a.terms)
+    terms[exps] = coeff * GaussianRational(Fraction(1, multiple * poly._P))
+    a = Polynomial(a.nvars, terms)
+    assert _modular(a, b) is None
+    assert _to_sympy(Polynomial.gcd(a, b)) == _lex_monic_gcd(a, b)
+
+
+def _count_gcd_work(monkeypatch) -> dict[str, int]:
+    counts = {"heuristic": 0, "divide": 0}
+    heuristic, divide = Polynomial._gcd_heuristic, poly._divide_exact
+
+    def counted_heuristic(a, b):
+        counts["heuristic"] += 1
+        return heuristic(a, b)
+
+    def counted_divide(num, div):
+        counts["divide"] += 1
+        return divide(num, div)
+
+    monkeypatch.setattr(Polynomial, "_gcd_heuristic", staticmethod(counted_heuristic))
+    monkeypatch.setattr(poly, "_divide_exact", counted_divide)
+    return counts
+
+
+def test_a_coprime_multi_term_pair_skips_the_heuristic(monkeypatch):
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    one = Polynomial.one(2)
+    a, b = x * x + y + one, x + y * y + one.scale(3)
+    counts = _count_gcd_work(monkeypatch)
+    assert Polynomial.gcd(a, b) == one
+    assert counts == {"heuristic": 0, "divide": 0}
+
+
+def test_a_dividing_operand_costs_one_division_and_no_heuristic(monkeypatch):
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    one = Polynomial.one(2)
+    b = (x + y.scale(GaussianRational(0, 2)) + one).scale(Fraction(3, 4))
+    a = b * (x - y + one.scale(2))
+    counts = _count_gcd_work(monkeypatch)
+    for first, second in ((a, b), (b, a)):
+        counts.update(heuristic=0, divide=0)
+        assert Polynomial.gcd(first, second) == b.monic()
+        assert counts == {"heuristic": 0, "divide": 1}
