@@ -16,9 +16,7 @@ from .brackets import (
     MasterHamiltonian,
     PoissonStructure,
     check_axioms,
-    derived_bracket,
     hamiltonian_vector_field,
-    jacobi_defect,
     master_condition,
     odd_poisson_bracket,
 )
@@ -29,13 +27,11 @@ from .charts import (
     berezinian,
     bv_identity,
     canonical_delta,
-    delta_q,
     exponentiate_hamiltonian,
     is_normal,
     is_symplectomorphism,
     jacobian,
     laplacian_conjugation_defect,
-    lie_commutator_defect,
     lie_derivative_density,
     sqrt_berezinian,
     symplectomorphism_defects,
@@ -79,13 +75,11 @@ from .forms import (
     one_form_action,
     restrict_to_lagrangian,
     semidensity_to_form,
-    star_product,
 )
 from .gaussian import GaussianRational
 from .laplacians import (
     VolumeForm,
     delta0,
-    delta_change,
     delta_rho,
     delta_rho_squared,
     divergence,
@@ -96,13 +90,10 @@ from .laplacians import (
 from .master import (
     NuReport,
     SemidensityMasterReport,
-    classical_limit,
-    classical_master_check,
     classical_master_residual,
     exp_identity_residual,
     nilpotent_exponential,
     nu_constant,
-    quantum_master_check,
     quantum_master_residual,
     semidensity_master_check,
 )
@@ -126,10 +117,8 @@ __all__ = [
     "hamiltonian_vector_field",
     "AxiomReport",
     "check_axioms",
-    "jacobi_defect",
     "CotangentStructure",
     "MasterHamiltonian",
-    "derived_bracket",
     "master_condition",
     # laplacians
     "VolumeForm",
@@ -138,7 +127,6 @@ __all__ = [
     "delta_rho",
     "delta_rho_squared",
     "divergence",
-    "delta_change",
     "modular_hamiltonian",
     "modular_operator",
     # charts, transitions, densities
@@ -153,9 +141,7 @@ __all__ = [
     "Density",
     "transform_density",
     "canonical_delta",
-    "delta_q",
     "lie_derivative_density",
-    "lie_commutator_defect",
     "exponentiate_hamiltonian",
     "NormalityReport",
     "is_normal",
@@ -171,16 +157,12 @@ __all__ = [
     "DivergenceReport",
     "divergence_correspondence",
     "one_form_action",
-    "star_product",
     "restrict_to_lagrangian",
     # master equations
     "nilpotent_exponential",
     "exp_identity_residual",
-    "classical_limit",
     "quantum_master_residual",
-    "quantum_master_check",
     "classical_master_residual",
-    "classical_master_check",
     "SemidensityMasterReport",
     "semidensity_master_check",
     "NuReport",

@@ -35,10 +35,8 @@ __all__ = [
     "AxiomReport",
     "MAX_FAILURES",
     "check_axioms",
-    "jacobi_defect",
     "CotangentStructure",
     "MasterHamiltonian",
-    "derived_bracket",
     "master_condition",
 ]
 
@@ -189,25 +187,6 @@ def _shift_sign(p: int, q: int, eps: int) -> int:
     return -1 if ((p + eps) * (q + eps)) & 1 else 1
 
 
-def _jacobi_sum(
-    bracket: Callable[[SuperFunction, SuperFunction], SuperFunction],
-    inner: Callable[[SuperFunction, SuperFunction], SuperFunction],
-    eps: int,
-    f: SuperFunction,
-    g: SuperFunction,
-    h: SuperFunction,
-) -> SuperFunction:
-    """The graded-Jacobi cyclic sum, taking the inner brackets from ``inner``."""
-    pf = f.parity_or_raise("jacobi input")
-    pg = g.parity_or_raise("jacobi input")
-    ph = h.parity_or_raise("jacobi input")
-    return (
-        bracket(f, inner(g, h)).scale(_shift_sign(pf, ph, eps))
-        + bracket(g, inner(h, f)).scale(_shift_sign(pg, pf, eps))
-        + bracket(h, inner(f, g)).scale(_shift_sign(ph, pg, eps))
-    )
-
-
 def _memoised(
     operation: Callable[[SuperFunction, SuperFunction], SuperFunction],
 ) -> Callable[[SuperFunction, SuperFunction], SuperFunction]:
@@ -254,6 +233,7 @@ def check_axioms(
         label = f"triple #{idx}"
         pf = f.parity_or_raise("axiom input")
         pg = g.parity_or_raise("axiom input")
+        ph = h.parity_or_raise("axiom input")
         fg = pair_bracket(f, g)
 
         if not fg.is_zero() and fg.parity() != (pf + pg + eps) & 1:
@@ -274,23 +254,17 @@ def check_axioms(
             report.leibniz_ok = False
             report.failures.append(f"Leibniz rule violated for {label}")
 
-        if not _jacobi_sum(bracket, pair_bracket, eps, f, g, h).is_zero():
+        jacobi = (
+            bracket(f, pair_bracket(g, h)).scale(_shift_sign(pf, ph, eps))
+            + bracket(g, pair_bracket(h, f)).scale(_shift_sign(pg, pf, eps))
+            + bracket(h, fg).scale(_shift_sign(ph, pg, eps))
+        )
+        if not jacobi.is_zero():
             report.jacobi_ok = False
             report.failures.append(f"Jacobi identity violated for {label}")
 
         report.triples_checked += 1
     return report
-
-
-def jacobi_defect(
-    bracket: Callable[[SuperFunction, SuperFunction], SuperFunction],
-    eps: int,
-    f: SuperFunction,
-    g: SuperFunction,
-    h: SuperFunction,
-) -> SuperFunction:
-    """The graded-Jacobi cyclic sum (zero iff the identity holds here)."""
-    return _jacobi_sum(bracket, bracket, eps & 1, f, g, h)
 
 
 # -- cotangent-type structures and derived brackets ---------------------------------
@@ -404,17 +378,11 @@ class MasterHamiltonian:
         return (self.hamiltonian.parity() or 0) & 1
 
     def derived_bracket(self, f: SuperFunction, g: SuperFunction) -> SuperFunction:
-        return derived_bracket(self, f, g)
-
-
-def derived_bracket(
-    structure: MasterHamiltonian, f: SuperFunction, g: SuperFunction
-) -> SuperFunction:
-    """The bracket ``[f, g] = {f, {S, g}}`` restricted to the base chart."""
-    amb = structure.ambient
-    inner = amb.structure.bracket(structure.hamiltonian, amb.lift(g))
-    outer = amb.structure.bracket(amb.lift(f), inner)
-    return amb.restrict_to_base(outer)
+        """The bracket ``[f, g] = {f, {S, g}}`` restricted to the base chart."""
+        amb = self.ambient
+        inner = amb.structure.bracket(self.hamiltonian, amb.lift(g))
+        outer = amb.structure.bracket(amb.lift(f), inner)
+        return amb.restrict_to_base(outer)
 
 
 def master_condition(structure: MasterHamiltonian) -> SuperFunction:

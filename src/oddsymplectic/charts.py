@@ -60,9 +60,7 @@ __all__ = [
     "Density",
     "transform_density",
     "canonical_delta",
-    "delta_q",
     "lie_derivative_density",
-    "lie_commutator_defect",
     "exponentiate_hamiltonian",
     "MAX_FLOW_STEPS",
     "NormalityReport",
@@ -325,7 +323,11 @@ def jacobian(transition: Transition) -> Matrix:
 
 
 def berezinian(transition: Transition) -> SuperFunction:
-    """The Berezinian of the transition's Jacobian (a target-chart function)."""
+    """The Berezinian of the transition's Jacobian (a target-chart function).
+
+    Raises :class:`~oddsymplectic.errors.InvalidTransition` when the odd-odd
+    block or the Schur complement of the even-even block is not invertible.
+    """
     tgt = transition.target
     n_even = len(transition.source.even_coords)
     jac = jacobian(transition)
@@ -352,6 +354,8 @@ def berezinian(transition: Transition) -> SuperFunction:
             for j, x_kj in enumerate(x[k]):
                 schur[i][j] = schur[i][j] - b_ik * x_kj
     det_schur, _ = _solve_even(schur, None, tgt)
+    if 0 not in det_schur.terms:
+        raise InvalidTransition("even-even block of the Jacobian is not invertible")
     return det_schur * det_d_inv
 
 
@@ -480,18 +484,6 @@ def canonical_delta(density: Density) -> Density:
     return Density(density.chart, delta0(density.coefficient), density.weight)
 
 
-def delta_q(q: SuperFunction, density: Density) -> Density:
-    """First-order operator attached to a Hamiltonian on semidensities.
-
-    ``delta_q(s) = (Delta_0 q) s - {q, s}`` on coefficients; for odd ``q``
-    it commutes with the canonical Laplacian.
-    """
-    _require_semidensity(density)
-    s = density.coefficient
-    coeff = delta0(q) * s - odd_poisson_bracket(q, s)
-    return Density(density.chart, coeff, density.weight)
-
-
 def lie_derivative_density(f: SuperFunction, density: Density) -> Density:
     """Lie derivative of a semidensity along the Hamiltonian field of ``f``.
 
@@ -504,20 +496,6 @@ def lie_derivative_density(f: SuperFunction, density: Density) -> Density:
     s = density.coefficient
     out = delta0(f) * s + odd_poisson_bracket(_twisted(f), s)
     return Density(density.chart, out, density.weight)
-
-
-def lie_commutator_defect(f: SuperFunction, density: Density) -> Density:
-    """Difference between the Lie derivative and the commutator with ``Delta``.
-
-    For homogeneous ``f`` the Lie derivative equals
-    ``Delta(f s) - (-1)^{p(f)} f Delta(s)``; the returned density is the
-    difference of the two computations (zero when the definitions agree).
-    """
-    p = f.parity_or_raise("commutator input")
-    delta_fs = canonical_delta(Density.semidensity(f * density.coefficient))
-    f_delta_s = Density.semidensity(f * canonical_delta(density).coefficient)
-    commutator = delta_fs - f_delta_s if p == 0 else delta_fs + f_delta_s
-    return lie_derivative_density(f, density) - commutator
 
 
 # -- flows -----------------------------------------------------------------------------

@@ -297,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laplace", help="odd Laplacian of an expression")
     p.add_argument("expr", help="the expression")
-    p.add_argument("--rho", help="volume coefficient for the weighted Laplacian")
-    p.add_argument(
+    operator = p.add_mutually_exclusive_group()
+    operator.add_argument("--rho", help="volume coefficient for the weighted Laplacian")
+    operator.add_argument(
         "--canonical",
         action="store_true",
         help="treat the expression as a semidensity coefficient",

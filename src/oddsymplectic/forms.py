@@ -19,15 +19,13 @@ computed by that sign rule (``_complement``); the tests keep the kernel as
 the oracle the rule is checked against.
 
 The remaining operations ride on the bridge: divergence of multivector
-fields against a base volume, the shift action of odd-valued one-forms, a
-square-root star product on forms, and restriction of a semidensity to the
-Lagrangian graph of a closed one-form.
+fields against a base volume, the shift action of odd-valued one-forms, and
+restriction of a semidensity to the Lagrangian graph of a closed one-form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 from .charts import (
@@ -39,7 +37,6 @@ from .charts import (
 )
 from .errors import (
     ChartMismatch,
-    NoExactSquareRoot,
     NonInvertibleBody,
     ParityViolation,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "DivergenceReport",
     "divergence_correspondence",
     "one_form_action",
-    "star_product",
     "restrict_to_lagrangian",
 ]
 
@@ -275,35 +271,6 @@ def one_form_action(components: Sequence[SuperFunction], density: Density) -> De
     _base_dimension(chart, forms=False)
     images = _shift_images(chart, chart, components)
     return transform_density(density, Transition(chart, chart, images))
-
-
-def star_product(omega: SuperFunction, other: SuperFunction) -> SuperFunction:
-    """Square-root product of forms through their semidensities.
-
-    The product of the two semidensities is split into even and odd parts;
-    the root is ``sqrt(even) + (1/2) sqrt(even)^{-1} odd``, whose square
-    returns the product exactly (the odd part squares to zero).  Requires the
-    even part to have an invertible perfect-square body, which on forms means
-    invertible top components.
-    """
-    if other.chart != omega.chart:
-        raise ChartMismatch("star product factors must live on one chart")
-    s = form_to_semidensity(omega).coefficient
-    t = form_to_semidensity(other).coefficient
-    product = s * t
-    if product.is_zero():
-        return SuperFunction.zero(omega.chart)
-    if product.even_part().is_zero():
-        raise NoExactSquareRoot(
-            "the even part of the product vanishes while the odd part does not"
-        )
-    even_root = product.even_part().sqrt_even()
-    odd = product.odd_part()
-    if odd.is_zero():
-        root = even_root
-    else:
-        root = even_root + (even_root.invert() * odd).scale(Fraction(1, 2))
-    return semidensity_to_form(Density.semidensity(root))
 
 
 def restrict_to_lagrangian(

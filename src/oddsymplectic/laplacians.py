@@ -41,7 +41,6 @@ __all__ = [
     "delta_rho",
     "delta_rho_squared",
     "divergence",
-    "delta_change",
     "modular_hamiltonian",
     "modular_operator",
 ]
@@ -141,16 +140,6 @@ def divergence(volume: VolumeForm, f: SuperFunction) -> SuperFunction:
     structure = PoissonStructure.darboux_odd(volume.chart)
     out = modular_operator(structure, volume.coefficient, f).scale(2)
     return -out if p else out
-
-
-def delta_change(volume: VolumeForm, factor: SuperFunction, f: SuperFunction) -> SuperFunction:
-    """``Delta_{g rho} f - Delta_rho f`` for an even invertible factor ``g``.
-
-    Equals ``(1/2) {log g, f}``; computed from the two Laplacians so tests
-    can verify that identity independently.
-    """
-    rescaled = volume.rescale(factor)
-    return delta_rho(rescaled, f) - delta_rho(volume, f)
 
 
 def modular_hamiltonian(volume: VolumeForm, other: VolumeForm) -> SuperFunction:

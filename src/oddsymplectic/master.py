@@ -35,11 +35,8 @@ from .superalgebra import OddKind, SuperFunction, _nilpotent_series
 __all__ = [
     "nilpotent_exponential",
     "exp_identity_residual",
-    "classical_limit",
     "quantum_master_residual",
-    "quantum_master_check",
     "classical_master_residual",
-    "classical_master_check",
     "SemidensityMasterReport",
     "semidensity_master_check",
     "NuReport",
@@ -80,12 +77,6 @@ def _require_even_action(action: SuperFunction) -> None:
         raise ParityViolation("a master action must be even")
 
 
-def classical_limit(action: SuperFunction) -> SuperFunction:
-    """The part of the action free of the quantisation parameter."""
-    pieces = action.coefficients_in_param(HBAR)
-    return pieces.get(0, SuperFunction.zero(action.chart))
-
-
 def quantum_master_residual(action: SuperFunction) -> SuperFunction:
     """``-4 hbar Delta_0 S + {S, S}`` — zero exactly on quantum master actions."""
     _require_even_action(action)
@@ -93,19 +84,11 @@ def quantum_master_residual(action: SuperFunction) -> SuperFunction:
     return (-4 * hbar) * delta0(action) + odd_poisson_bracket(action, action)
 
 
-def quantum_master_check(action: SuperFunction) -> bool:
-    return quantum_master_residual(action).is_zero()
-
-
 def classical_master_residual(action: SuperFunction) -> SuperFunction:
     """``{S_0, S_0}`` for the parameter-free part of the action."""
     _require_even_action(action)
-    limit = classical_limit(action)
+    limit = action.coefficients_in_param(HBAR).get(0, SuperFunction.zero(action.chart))
     return odd_poisson_bracket(limit, limit)
-
-
-def classical_master_check(action: SuperFunction) -> bool:
-    return classical_master_residual(action).is_zero()
 
 
 # -- semidensities -------------------------------------------------------------------

@@ -151,25 +151,6 @@ class Chart:
             params=tuple(params),
         )
 
-    @classmethod
-    def doubled(
-        cls,
-        n: int,
-        *,
-        name: str = "D",
-        externals: Iterable[str] = (),
-        params: Iterable[str] = ("hbar",),
-    ) -> "Chart":
-        """Chart with both ``th`` and ``xi`` blocks."""
-        return cls(
-            name=name,
-            even_coords=tuple(f"x{i}" for i in range(1, n + 1)),
-            odd_coords=tuple(f"th{i}" for i in range(1, n + 1)),
-            fiber_odds=tuple(f"xi{i}" for i in range(1, n + 1)),
-            external_odds=tuple(externals),
-            params=tuple(params),
-        )
-
     def with_externals(self, *names: str) -> "Chart":
         """A copy of this chart with extra external odd constants appended."""
         missing = tuple(n for n in names if n not in self.external_odds)

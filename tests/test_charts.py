@@ -15,13 +15,11 @@ from oddsymplectic.charts import (
     berezinian,
     bv_identity,
     canonical_delta,
-    delta_q,
     exponentiate_hamiltonian,
     is_normal,
     is_symplectomorphism,
     jacobian,
     laplacian_conjugation_defect,
-    lie_commutator_defect,
     lie_derivative_density,
     sqrt_berezinian,
     transform_density,
@@ -197,6 +195,28 @@ def test_berezinian_rejects_degenerate_odd_block():
     t = Transition(chart, chart, {"th1": th1 + th2, "th2": th1 + th2})
     with pytest.raises(InvalidTransition):
         berezinian(t)
+
+
+def test_berezinian_rejects_degenerate_even_block():
+    # A Schur complement A - B D^{-1} C whose determinant has zero body is
+    # no change of coordinates; its Berezinian would read 0.
+    line = Chart.darboux(1)
+    line_p = Chart.darboux(1, name="P", even_prefix="y", odd_prefix="e")
+    plane = Chart.darboux(2)
+    plane_p = Chart.darboux(2, name="P", even_prefix="y", odd_prefix="e")
+    (e1,) = gens(line_p, "e1")
+    y1, y2, f1, f2 = gens(plane_p, "y1", "y2", "e1", "e2")
+    for t in (
+        Transition(line, line_p, {"x1": SuperFunction.zero(line_p), "th1": e1}),
+        Transition(plane, plane_p, {"x1": y1 + y2, "x2": y1 + y2, "th1": f1, "th2": f2}),
+        Transition(plane, plane_p, {"x1": f1 * f2, "x2": y2, "th1": f1, "th2": f2}),
+    ):
+        with pytest.raises(InvalidTransition, match="even-even block"):
+            berezinian(t)
+        with pytest.raises(InvalidTransition, match="even-even block"):
+            transform_density(Density.semidensity(one(t.source)), t)
+        s = SuperFunction.generator(t.source, "x1")
+        assert transform_density(Density(t.source, s, 0), t).coefficient == t.images["x1"]
 
 
 def test_berezinian_without_odd_coordinates_is_the_even_determinant():
@@ -623,26 +643,37 @@ def test_lie_derivative_matches_flow_expansion_even_generator():
     assert moved.coefficient == s + nu * lie
 
 
+def _lie_commutator_defect(f, density):
+    """Lie derivative minus ``Delta(f s) - (-1)^{p(f)} f Delta(s)``: an oracle."""
+    p = f.parity_or_raise("commutator input")
+    delta_fs = canonical_delta(Density.semidensity(f * density.coefficient))
+    f_delta_s = Density.semidensity(f * canonical_delta(density).coefficient)
+    commutator = delta_fs - f_delta_s if p == 0 else delta_fs + f_delta_s
+    return lie_derivative_density(f, density) - commutator
+
+
 def test_lie_derivative_is_the_commutator_with_the_laplacian():
     chart = Chart.darboux(2)
     x1, x2, th1, th2 = gens(chart, "x1", "x2", "th1", "th2")
     dens = Density.semidensity(x1 * x2 + x1 * th1 * th2 + th2)
     for f in [x1 * x2, th1 * th2 + x2, x1 * x1 * th2 + th1, th1]:
-        assert lie_commutator_defect(f, dens).coefficient.is_zero()
+        assert _lie_commutator_defect(f, dens).coefficient.is_zero()
 
 
-def test_delta_q_values_and_commutation():
+def test_lie_derivative_along_odd_hamiltonian_values_and_commutation():
+    # For odd q the Lie derivative is (Delta_0 q) s - {q, s}, and it commutes
+    # with the canonical Laplacian.
     chart = Chart.darboux(2)
     x1, x2, th1, th2 = gens(chart, "x1", "x2", "th1", "th2")
     s = Density.semidensity(x1 * x1)
-    assert delta_q(th1, s).coefficient == x1.scale(2)
+    assert lie_derivative_density(th1, s).coefficient == x1.scale(2)
     q = x1 * x2 * th2 + th1
     rich = Density.semidensity(x1 * x2 + x2 * th1 * th2 + th2 + x1 * th1)
-    lhs = canonical_delta(delta_q(q, rich))
-    rhs = delta_q(q, canonical_delta(rich))
+    lhs = canonical_delta(lie_derivative_density(q, rich))
+    rhs = lie_derivative_density(q, canonical_delta(rich))
     assert (lhs - rhs).coefficient.is_zero()
     with pytest.raises(ValueError):
-        delta_q(q, Density.volume(x1))
+        lie_derivative_density(q, Density.volume(x1))
 
 
 # -- normality ----------------------------------------------------------------------

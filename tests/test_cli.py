@@ -69,6 +69,13 @@ def test_laplace_variants(capsys):
     assert code == 0 and out == "2*x1"
 
 
+def test_laplace_rho_and_canonical_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["laplace", "x1*th1", "--canonical", "--rho", "1+x1^2"])
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_berezinian_of_scaling(capsys):
     code, out, _ = run(capsys, "berezinian", SCALING)
     assert code == 0
@@ -82,6 +89,21 @@ def test_transform_weights(capsys):
     assert code == 0 and out == "th1"
     code, out, _ = run(capsys, "transform", SCALING, "1", "--weight", "1")
     assert code == 0 and out == "4"
+
+
+def test_transition_with_a_singular_even_block_exits_two(capsys):
+    line = {"evens": ["x1"], "odds": ["th1"]}
+    target = {"name": "P", "evens": ["y1"], "odds": ["e1"]}
+    singular = json.dumps({"source": line, "target": target, "images": {"x1": "0", "th1": "e1"}})
+    message = "error: even-even block of the Jacobian is not invertible"
+    for argv in (
+        ("berezinian", singular),
+        ("transform", singular, "x1", "--weight", "1"),
+        ("transform", singular, "x1", "--weight", "1/2"),
+        ("check-transition", singular),
+    ):
+        assert run(capsys, *argv) == (2, "", message), argv
+    assert run(capsys, "transform", singular, "x1*th1") == (0, "0", "")
 
 
 def test_transition_from_file(capsys, tmp_path):

@@ -19,7 +19,6 @@ from oddsymplectic.charts import (
 from oddsymplectic.errors import (
     ChartMismatch,
     InvalidTransition,
-    NoExactSquareRoot,
     NonInvertibleBody,
     NotClosed,
     ParityViolation,
@@ -37,7 +36,6 @@ from oddsymplectic.forms import (
     one_form_action,
     restrict_to_lagrangian,
     semidensity_to_form,
-    star_product,
 )
 from oddsymplectic.superalgebra import Chart, OddKind, SuperFunction, bits_of
 
@@ -152,8 +150,16 @@ def test_bridge_round_trips_on_monomials(n):
 
 
 def _doubled(chart):
+    """The Darboux chart ``chart`` with the fiber block ``xi1..xin`` added."""
     n = len(chart.even_coords)
-    return Chart.doubled(n, name=chart.name, externals=chart.external_odds, params=chart.params)
+    return Chart(
+        name=chart.name,
+        even_coords=chart.even_coords,
+        odd_coords=chart.odd_coords,
+        fiber_odds=tuple(f"xi{i}" for i in range(1, n + 1)),
+        external_odds=chart.external_odds,
+        params=chart.params,
+    )
 
 
 def _kernel(doubled, n, sign):
@@ -577,43 +583,6 @@ def test_shift_entry_points_refuse_the_same_components():
             one_form_action(components, s)
         with pytest.raises(error):
             Transition.shift_one_form(dchart, dchart, components)
-
-
-# -- star product --------------------------------------------------------------------
-
-
-def test_star_product_frozen_values():
-    fchart = Chart.forms(1)
-    (xi1,) = gens(fchart, "xi1")
-    assert star_product(xi1, xi1.scale(4)) == xi1.scale(2)
-    assert star_product(xi1, xi1) == xi1
-    assert star_product(one(fchart) + xi1, one(fchart) + xi1) == one(fchart) + xi1
-
-    fchart2 = Chart.forms(2)
-    xi1, xi2 = gens(fchart2, "xi1", "xi2")
-    top = xi1 * xi2
-    assert star_product(top, top) == -top
-
-
-def test_star_product_squares_mixed_roots():
-    fchart = Chart.forms(2)
-    x1, xi1, xi2 = gens(fchart, "x1", "xi1", "xi2")
-    omega = xi1 * xi2 + x1 * xi1
-    squared = star_product(omega, omega)
-    s = form_to_semidensity(squared).coefficient
-    r = form_to_semidensity(omega).coefficient
-    assert s * s == r * r
-    assert s == -r  # the root with invertible positive-leading body is chosen
-
-
-def test_star_product_requires_invertible_top():
-    fchart = Chart.forms(2)
-    xi1, xi2 = gens(fchart, "xi1", "xi2")
-    with pytest.raises(NoExactSquareRoot):
-        star_product(one(fchart), xi1 * xi2)
-    assert star_product(one(fchart), one(fchart)).is_zero()
-    with pytest.raises(ChartMismatch):
-        star_product(one(fchart), one(Chart.forms(1)))
 
 
 # -- restriction to Lagrangian graphs -------------------------------------------------

@@ -10,7 +10,7 @@ import oddsymplectic
 from oddsymplectic.brackets import check_axioms
 from oddsymplectic.charts import Transition, exponentiate_hamiltonian
 from oddsymplectic.gaussian import GaussianRational
-from oddsymplectic.superalgebra import SuperFunction
+from oddsymplectic.superalgebra import Chart, SuperFunction
 
 MODULES = ["oddsymplectic"] + [
     f"oddsymplectic.{info.name}"
@@ -18,11 +18,21 @@ MODULES = ["oddsymplectic"] + [
     if info.name != "__main__"
 ]
 
-# Aliases deleted in favour of one implementation, with the module that held them.
+# Aliases, wrappers and test-only helpers deleted from the library, with the
+# module that held them.
 REMOVED = {
     "hamiltonian_apply": "oddsymplectic.brackets",
     "lie_along_multivector": "oddsymplectic.forms",
     "even_modular_field": "oddsymplectic.laplacians",
+    "delta_q": "oddsymplectic.charts",
+    "lie_commutator_defect": "oddsymplectic.charts",
+    "star_product": "oddsymplectic.forms",
+    "delta_change": "oddsymplectic.laplacians",
+    "jacobi_defect": "oddsymplectic.brackets",
+    "derived_bracket": "oddsymplectic.brackets",
+    "quantum_master_check": "oddsymplectic.master",
+    "classical_master_check": "oddsymplectic.master",
+    "classical_limit": "oddsymplectic.master",
 }
 
 
@@ -41,6 +51,7 @@ def test_removed_aliases_are_gone():
         assert not hasattr(oddsymplectic, alias)
         assert not hasattr(importlib.import_module(home), alias)
     assert not hasattr(Transition, "from_images")
+    assert not hasattr(Chart, "doubled")
     assert list(inspect.signature(SuperFunction.retarget).parameters) == ["self", "target"]
 
 

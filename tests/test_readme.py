@@ -1,7 +1,9 @@
-"""Every ``$ oddsymplectic ...`` example in README.md prints what the README shows."""
+"""The README's examples run: every ``$ oddsymplectic ...`` line prints what the
+README shows, and the Python tour executes and prints its commented values."""
 
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,21 @@ def test_readme_example(command, expected, tmp_path, monkeypatch, capsys):
         assert printed.startswith(expected[: -len("...")])
     else:
         assert printed == expected
+
+
+def test_readme_python_tour_runs_and_prints_its_commented_values():
+    (tour,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    # ``print(...)  # 4``: a one-word comment after a print is its output.
+    expected = {
+        number: match.group(1)
+        for number, line in enumerate(tour.splitlines(), 1)
+        if (match := re.fullmatch(r"print\(.*\)\s+# (\S+)", line))
+    }
+    assert sorted(expected.values()) == ["2", "4"]
+    printed = {}
+
+    def record(*args):
+        printed[sys._getframe(1).f_lineno] = " ".join(map(str, args))
+
+    exec(compile(tour, "README.md", "exec"), {"print": record})
+    assert {number: printed[number] for number in expected} == expected

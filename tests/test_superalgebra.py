@@ -29,7 +29,13 @@ def c2():
 
 
 def test_chart_generator_order_is_kind_then_index():
-    chart = Chart.doubled(2, externals=("eps1",))
+    chart = Chart(
+        name="D",
+        even_coords=("x1", "x2"),
+        odd_coords=("th1", "th2"),
+        fiber_odds=("xi1", "xi2"),
+        external_odds=("eps1",),
+    )
     assert chart.odds == ("th1", "th2", "xi1", "xi2", "eps1")
     assert chart.kind_of_odd(0) is OddKind.COORDINATE
     assert chart.kind_of_odd(2) is OddKind.FIBER
@@ -288,7 +294,7 @@ def test_berezin_integral_block(c2):
 
 def test_berezin_integral_matches_fourier_pin():
     # int exp(-I xi^1 th_1) D(xi^1) = -I th_1
-    chart = Chart.doubled(1)
+    chart = Chart(name="D", even_coords=("x1",), odd_coords=("th1",), fiber_odds=("xi1",))
     th1 = SuperFunction.generator(chart, "th1")
     xi1 = SuperFunction.generator(chart, "xi1")
     i = GaussianRational(0, 1)
@@ -318,7 +324,9 @@ def test_coefficients_in_param(c2):
 
 def test_retarget_between_charts():
     c = Chart.darboux(2)
-    d = Chart.doubled(2)
+    d = Chart(
+        name="D", even_coords=("x1", "x2"), odd_coords=("th1", "th2"), fiber_odds=("xi1", "xi2")
+    )
     f = SuperFunction.generator(c, "x1") * SuperFunction.generator(c, "th2")
     g = f.retarget(d)
     assert g == SuperFunction.generator(d, "x1") * SuperFunction.generator(d, "th2")
