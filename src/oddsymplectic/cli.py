@@ -3,10 +3,10 @@
 Every subcommand maps to one library operation or one named check suite;
 inputs are textual expressions and JSON-serialized charts and transitions.
 Every chart, whether from ``--n``, ``--chart`` or a transition, holds at
-most :data:`~oddsymplectic.sampling.MAX_DIMENSION` generators in each block.
+most :data:`~oddsymplectic.expressions.MAX_DIMENSION` generators in each block.
 Exit codes: 0 on success, 1 when an exact check fails, 2 on usage, syntax,
 or other input errors, 3 on an internal error (a bug, reported in one
-``internal error:`` line).
+``internal error:`` line).  Each subcommand imports only the modules it uses.
 """
 
 from __future__ import annotations
@@ -16,20 +16,14 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
-from .brackets import odd_poisson_bracket
-from .charts import (
-    Density,
-    Transition,
-    berezinian,
-    bv_identity,
-    canonical_delta,
-    symplectomorphism_defects,
-    transform_density,
-)
 from .errors import NoExactSquareRoot, OddSymplecticError
 from .expressions import (
+    DEFAULT_COUNT,
+    MAX_COUNT,
+    MAX_DIMENSION,
+    SUITE_NAMES,
     _transition_charts,
     _transition_images,
     chart_from_dict,
@@ -37,16 +31,10 @@ from .expressions import (
     parse_expression,
     superfunction_to_dict,
 )
-from .forms import form_to_semidensity, restrict_to_lagrangian, semidensity_to_form
-from .laplacians import VolumeForm, delta0, delta_rho
-from .master import (
-    classical_master_residual,
-    quantum_master_residual,
-    semidensity_master_check,
-)
-from .sampling import MAX_DIMENSION
 from .superalgebra import Chart, SuperFunction
-from .suites import DEFAULT_COUNT, MAX_COUNT, SUITE_NAMES, run_suite
+
+if TYPE_CHECKING:
+    from .charts import Transition
 
 __all__ = ["main"]
 
@@ -94,6 +82,8 @@ def _resolve_chart(args: argparse.Namespace, *, fiber: bool = False) -> Chart:
 
 def _resolve_transition(argument: str) -> Transition:
     """The transition JSON describes; its charts meet the cap before it is built."""
+    from .charts import Transition
+
     data = _load_json(argument)
     source, target = _transition_charts(data)
     _bounded(source)
@@ -117,6 +107,8 @@ def _emit_superfunction(args: argparse.Namespace, value: SuperFunction) -> None:
 
 
 def _cmd_bracket(args: argparse.Namespace) -> int:
+    from .brackets import odd_poisson_bracket
+
     chart = _resolve_chart(args)
     f = parse_expression(args.f, chart)
     g = parse_expression(args.g, chart)
@@ -125,12 +117,16 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
 
 
 def _cmd_laplace(args: argparse.Namespace) -> int:
+    from .laplacians import VolumeForm, delta0, delta_rho
+
     chart = _resolve_chart(args)
     f = parse_expression(args.expr, chart)
     if args.rho is not None:
         volume = VolumeForm(chart, parse_expression(args.rho, chart))
         result = delta_rho(volume, f)
     elif args.canonical:
+        from .charts import Density, canonical_delta
+
         result = canonical_delta(Density.semidensity(f)).coefficient
     else:
         result = delta0(f)
@@ -139,12 +135,16 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
 
 
 def _cmd_berezinian(args: argparse.Namespace) -> int:
+    from .charts import berezinian
+
     transition = _resolve_transition(args.transition)
     _emit_superfunction(args, berezinian(transition))
     return EXIT_OK
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
+    from .charts import Density, transform_density
+
     transition = _resolve_transition(args.transition)
     value = parse_expression(args.expr, transition.source)
     if args.weight == 0:
@@ -159,6 +159,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_transition(args: argparse.Namespace) -> int:
+    from .charts import bv_identity, symplectomorphism_defects
+
     transition = _resolve_transition(args.transition)
     defects = symplectomorphism_defects(transition)
     canonical = not defects
@@ -184,6 +186,9 @@ def _cmd_check_transition(args: argparse.Namespace) -> int:
 
 
 def _cmd_fourier(args: argparse.Namespace) -> int:
+    from .charts import Density
+    from .forms import form_to_semidensity, semidensity_to_form
+
     if args.inverse:
         chart = _resolve_chart(args)
         density = Density.semidensity(parse_expression(args.expr, chart))
@@ -196,6 +201,9 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
 
 
 def _cmd_restrict(args: argparse.Namespace) -> int:
+    from .charts import Density
+    from .forms import restrict_to_lagrangian
+
     chart = _resolve_chart(args)
     density = Density.semidensity(parse_expression(args.expr, chart))
     alpha = [parse_expression(component, chart) for component in args.alpha]
@@ -205,6 +213,13 @@ def _cmd_restrict(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_master(args: argparse.Namespace) -> int:
+    from .charts import Density
+    from .master import (
+        classical_master_residual,
+        quantum_master_residual,
+        semidensity_master_check,
+    )
+
     chart = _resolve_chart(args)
     value = parse_expression(args.expr, chart)
     if args.semidensity:
@@ -234,12 +249,44 @@ def _cmd_check_master(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    from .suites import run_suite
+
     report = run_suite(args.name, n=args.n, seed=args.seed, count=args.count)
     _emit(args, report.lines(), report.to_dict())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 # -- parser --------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error in one stderr line.
+
+    argparse takes a token that begins with ``-``, such as the expression
+    ``-x1*th1``, for an option; when such a token is no option of this
+    parser, the line says where an expression like it goes.
+    """
+
+    def parse_known_args(
+        self, args: Sequence[str] | None = None, namespace: argparse.Namespace | None = None
+    ) -> tuple[argparse.Namespace, list[str]]:
+        self.tokens = list(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message: str) -> NoReturn:
+        tokens = self.tokens[: self.tokens.index("--")] if "--" in self.tokens else self.tokens
+        options = self._option_string_actions
+        if any(
+            token.startswith("-")
+            and " " not in token  # argparse reads a token with a space as a positional
+            and not any(option.startswith(token.split("=")[0]) for option in options)
+            for token in tokens
+        ):
+            message += (
+                "; an expression that begins with '-' goes after '--',"
+                " or after '=' as an option value"
+            )
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _dimension(text: str) -> int:
@@ -281,7 +328,7 @@ def _add_common(
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oddsymplectic",
         description="Exact calculus on odd symplectic charts: brackets, odd "
         "Laplacians, Berezinians, the form/semidensity bridge, and master-"
@@ -391,12 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, chart=False)
     p.set_defaults(handler=_cmd_suite)
 
+    for subparser in sub.choices.values():
+        subparser.set_defaults(parser=subparser)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     handler: Callable[[argparse.Namespace], int] = args.handler
     try:
         return handler(args)

@@ -35,20 +35,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from .charts import Transition
 from .errors import ExpressionSyntaxError, UnknownGenerator
 from .gaussian import GaussianRational
 from .scalar import Scalar
 from .superalgebra import Chart, SuperFunction
 
+if TYPE_CHECKING:
+    from .charts import Transition
+
 __all__ = [
+    "DEFAULT_COUNT",
+    "MAX_COUNT",
+    "MAX_DIMENSION",
     "MAX_EXPONENT",
     "MAX_NESTING",
     "MAX_POWER_DEGREE",
     "MAX_POWER_TERMS",
     "MAX_PRODUCT_TERMS",
+    "SUITE_NAMES",
     "parse_expression",
     "format_superfunction",
     "format_scalar",
@@ -85,6 +91,20 @@ MAX_POWER_TERMS = 5000
 # The cost is about linear in the pairs, and at this bound it is close to
 # that of the largest power allowed.
 MAX_PRODUCT_TERMS = 250_000
+
+# The command line's other input bounds live here too, because every
+# subcommand loads this module and its parser reads them; ``sampling`` and
+# ``suites`` import them from here.
+#
+# Largest number of generators in one block of any chart.
+MAX_DIMENSION = 5
+
+# The named suites, and the bounds on their checks per item.  The run time
+# grows linearly with the count: at n = 5 each unit costs about 0.17 s for
+# ``all``, so 256 is under a minute.
+SUITE_NAMES = ("axioms", "laplacian", "bv", "fourier", "master", "all")
+DEFAULT_COUNT = 12
+MAX_COUNT = 256
 
 
 # -- tokenizer ---------------------------------------------------------------------
@@ -574,5 +594,7 @@ def _transition_images(data: Mapping[str, Any], target: Chart) -> dict[str, Supe
 
 def transition_from_dict(data: Mapping[str, Any]) -> Transition:
     """The transition a JSON object describes; a malformed shape raises ``ValueError``."""
+    from .charts import Transition
+
     source, target = _transition_charts(data)
     return Transition(source, target, _transition_images(data, target))

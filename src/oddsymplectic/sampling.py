@@ -16,13 +16,13 @@ from typing import Callable, Sequence
 
 from .charts import Density, Transition, exponentiate_hamiltonian
 from .errors import InvalidTransition
+from .expressions import MAX_DIMENSION
 from .laplacians import VolumeForm
 from .superalgebra import Chart, SuperFunction
 
 MIN_COEFFICIENT = -3
 MAX_COEFFICIENT = 3
 MAX_DEGREE = 3
-MAX_DIMENSION = 5
 
 _NONZERO = tuple(
     c for c in range(MIN_COEFFICIENT, MAX_COEFFICIENT + 1) if c != 0

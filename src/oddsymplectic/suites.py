@@ -17,14 +17,9 @@ from typing import Any, Callable
 
 from . import brackets, charts, forms, laplacians, master, sampling
 from .charts import Density, Transition
+from .expressions import DEFAULT_COUNT, MAX_COUNT, SUITE_NAMES
 from .laplacians import VolumeForm
 from .superalgebra import Chart, SuperFunction
-
-SUITE_NAMES = ("axioms", "laplacian", "bv", "fourier", "master", "all")
-DEFAULT_COUNT = 12
-# Largest accepted count.  The run time grows linearly with the count: at
-# n = 5 each unit costs about 0.17 s for ``all``, so 256 is under a minute.
-MAX_COUNT = 256
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (
     ParityViolation,
     UnknownGenerator,
 )
-from .gaussian import GaussianRational, to_gaussian
+from .gaussian import GaussianRational
 from .poly import Polynomial
 from .scalar import Scalar, ScalarLike
 

@@ -27,7 +27,6 @@ from oddsymplectic.charts import (
     exponentiate_hamiltonian,
     is_normal,
     is_symplectomorphism,
-    sqrt_berezinian,
     transform_density,
 )
 from oddsymplectic.forms import (

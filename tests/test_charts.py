@@ -7,7 +7,6 @@ from random import Random
 import pytest
 
 from oddsymplectic import sampling
-from oddsymplectic.brackets import odd_poisson_bracket
 from oddsymplectic.charts import (
     Density,
     Transition,

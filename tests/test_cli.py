@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oddsymplectic
-from oddsymplectic import brackets, cli, expressions, master, suites
+from oddsymplectic import brackets, expressions, master, suites
 from oddsymplectic.cli import main
 from oddsymplectic.expressions import (
     MAX_EXPONENT,
@@ -306,10 +306,10 @@ def test_internal_error_exits_three_with_one_line():
     script = "\n".join(
         (
             "import sys",
-            "from oddsymplectic import cli",
+            "from oddsymplectic import brackets, cli",
             "def broken(f, g):",
             "    raise RuntimeError('planted failure')",
-            "cli.odd_poisson_bracket = broken",
+            "brackets.odd_poisson_bracket = broken",
             "sys.exit(cli.main(['bracket', 'x1', 'th1']))",
         )
     )
@@ -326,7 +326,7 @@ def test_library_key_and_type_errors_are_internal_errors(capsys, monkeypatch, pl
     def broken(f, g):
         raise planted
 
-    monkeypatch.setattr(cli, "odd_poisson_bracket", broken)
+    monkeypatch.setattr(brackets, "odd_poisson_bracket", broken)
     code, out, err = run(capsys, "bracket", "x1", "th1")
     assert code == 3
     assert out == ""
@@ -475,3 +475,94 @@ def test_suite_count_at_the_bound_runs(capsys, monkeypatch):
     code, out, err = run(capsys, "suite", "axioms", "--n", "1", "--count", "4")
     assert code == 2 and out == ""
     assert err == "error: count must be between 1 and 3, got 4"
+
+
+def test_usage_errors_are_one_line_naming_the_subcommand(capsys):
+    for argv, prog, message in (
+        (["frobnicate"], "oddsymplectic", "invalid choice: 'frobnicate'"),
+        (["bracket", "x1"], "oddsymplectic bracket", "required: g"),
+        (["laplace", "x1", "--canonical", "--rho", "1"], "oddsymplectic laplace", "not allowed"),
+        (["suite", "axioms", "--chart", "{}"], "oddsymplectic suite", "unrecognized arguments: --chart"),
+        (["bracket", "x1", "th1", "extra"], "oddsymplectic bracket", "unrecognized arguments: extra"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{prog}: error: ") and message in captured.err, argv
+        assert len(captured.err.splitlines()) == 1, argv
+        assert ("'--'" in captured.err) == ("--chart" in argv), argv
+
+
+def test_an_expression_that_begins_with_a_minus_sign_goes_after_the_separator(capsys):
+    for argv in (["laplace", "-x1*th1"], ["bracket", "-x1", "th1"], ["bracket", "x1", "-th1"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"oddsymplectic {argv[0]}: error: ") and "after '--'" in err, argv
+        assert len(err.splitlines()) == 1
+        code, out, _ = run(capsys, argv[0], "--", *argv[1:])
+        assert code == 0 and out == "-1", argv
+    # An option's value goes after '=' instead.
+    with pytest.raises(SystemExit):
+        main(["laplace", "x1*x1*th1", "--n", "1", "--rho", "-(1+x1)"])
+    assert "after '='" in capsys.readouterr().err
+    code, out, _ = run(capsys, "laplace", "x1*x1*th1", "--n", "1", "--rho=-(1+x1)")
+    assert code == 0 and out == "(5/2*x1^2 + 2*x1)/(x1 + 1)"
+
+
+# Runs ``cli.main`` on the argv given as JSON; the last line of stdout lists
+# the package's submodules that were loaded.
+IMPORT_PROBE = """\
+import json, sys
+from oddsymplectic import cli
+cli.main(json.loads(sys.argv[1]))
+print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("oddsymplectic."))))
+"""
+
+ONE_OF_EACH = {
+    "bracket": ["bracket", "x1", "th1"],
+    "laplace": ["laplace", "x1*th1", "--rho", "1"],
+    "berezinian": ["berezinian", SCALING],
+    "transform": ["transform", SCALING, "x1", "--weight", "1/2"],
+    "check-transition": ["check-transition", SCALING],
+    "fourier": ["fourier", "1 + x1*xi1"],
+    "restrict": ["restrict", "1", "--alpha", "x1", "--alpha", "x2"],
+    "check-master": ["check-master", "th1*th2", "--quantum"],
+    "suite": ["suite", "axioms", "--n", "1", "--count", "1"],
+}
+
+
+def test_the_package_import_loads_no_submodule():
+    script = "import sys, oddsymplectic; print([m for m in sys.modules if 'oddsymplectic.' in m])"
+    assert run_python("-c", script).stdout == "[]\n"
+
+
+@pytest.fixture(scope="module")
+def cold_start_modules():
+    """For each subcommand, the submodules a fresh interpreter loads to run it."""
+    loaded = {}
+    for name, argv in ONE_OF_EACH.items():
+        proc = run_python("-c", IMPORT_PROBE, json.dumps(argv))
+        assert proc.returncode in (0, 1), proc.stderr
+        loaded[name] = set(json.loads(proc.stdout.splitlines()[-1]))
+    return loaded
+
+
+def test_bracket_loads_no_operator_above_the_bracket(cold_start_modules):
+    loaded = cold_start_modules["bracket"]
+    assert "brackets" in loaded
+    assert not loaded & {"suites", "sampling", "forms", "master", "charts", "laplacians"}
+
+
+def test_berezinian_loads_charts_but_not_the_suites(cold_start_modules):
+    assert "charts" in cold_start_modules["berezinian"]
+    assert "suites" not in cold_start_modules["berezinian"]
+
+
+def test_only_the_suite_command_loads_the_suites(cold_start_modules):
+    for module in ("suites", "sampling"):
+        users = {name for name, loaded in cold_start_modules.items() if module in loaded}
+        assert users == {"suite"}, module

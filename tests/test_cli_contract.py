@@ -5,13 +5,13 @@ or unusual expressions, chart JSON and transition JSON.  Whatever the input:
 
 * the exit code is 0 (success), 1 (a check failed) or 2 (an input error),
   never 3 (an internal error);
-* stderr holds at most one line;
+* stderr holds at most one line, argparse's usage errors included;
 * when a command that prints one expression exits 0, the printed text
   parses back on the result's chart to the value the library computed.
 
-Options come before ``--`` and the fuzzed positionals after it, so argparse
-never mistakes an expression such as ``-x1`` for a flag; argparse's own usage
-errors (usage text plus one line) are covered in ``test_cli.py``.
+Options come first and the fuzzed positionals last, half the time after ``--``;
+without it argparse takes an expression such as ``-x1`` for an option and
+the command ends in a usage error.
 """
 
 import contextlib
@@ -53,12 +53,13 @@ def one_in(n):
 
 
 def expressions(names=("x1", "x2", "th1", "th2")):
-    """Token soup one time in three, else a sum of products over ``names``."""
+    """Token soup or a negated product one time in four each, else a sum of
+    products over ``names``."""
     atoms = st.sampled_from(list(names) + [f"(1 + {n})" for n in names] + CONSTANTS)
     products = st.lists(atoms, min_size=1, max_size=3).map("*".join)
     well_formed = st.lists(products, min_size=1, max_size=3).map(" + ".join)
     soup = st.lists(st.sampled_from(TOKENS), max_size=8).map("".join)
-    return st.one_of(well_formed, well_formed, soup)
+    return st.one_of(well_formed, well_formed, soup, products.map("-{}".format))
 
 
 name_lists = st.one_of(
@@ -146,9 +147,15 @@ def as_json(document, truncate):
     return text[:-1] if truncate else text
 
 
+def joined(draw, command, options, positionals):
+    """``argv``: options, then ``--`` one time in two, then positionals."""
+    separator = ["--"] if draw(st.booleans()) else []
+    return [command, *options, *separator, *positionals]
+
+
 @st.composite
 def invocations(draw):
-    """``argv`` for one subcommand: options, then ``--``, then positionals."""
+    """``argv`` for one subcommand: options, then positionals."""
     command = draw(st.sampled_from(sorted(ONE_EXPRESSION | {"check-transition", "check-master"})))
     options, positionals = [], []
     if command in {"berezinian", "transform", "check-transition"}:
@@ -158,7 +165,7 @@ def invocations(draw):
             positionals.append(draw(expressions(source_names)))
             weight = draw(st.sampled_from(["0", "1/2", "1", "-1/2", "3/2", "2"]))
             options.append(f"--weight={weight}")
-        return [command, *options, "--", *positionals]
+        return joined(draw, command, options, positionals)
 
     chart_kind = draw(st.sampled_from(["default", "n", "chart"]))
     n = 2
@@ -190,7 +197,7 @@ def invocations(draw):
     positionals.append(draw(expressions(names)))
     if command == "bracket":
         positionals.append(draw(expressions(names)))
-    return [command, *options, "--", *positionals]
+    return joined(draw, command, options, positionals)
 
 
 @SETTINGS
@@ -209,7 +216,10 @@ def test_cli_contract_holds_on_hostile_input(argv):
         patch.setattr(cli, "format_superfunction", recording_format)
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
 
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

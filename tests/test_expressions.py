@@ -18,7 +18,6 @@ from oddsymplectic.expressions import (
     MAX_PRODUCT_TERMS,
     chart_from_dict,
     chart_to_dict,
-    format_scalar,
     format_superfunction,
     parse_expression,
     superfunction_from_dict,

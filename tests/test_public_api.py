@@ -1,12 +1,16 @@
-"""The public names: every ``__all__`` entry resolves, removed aliases stay gone."""
+"""The public names: every ``__all__`` entry resolves, removed aliases stay gone,
+the package namespace loads modules lazily, and no imported name goes unused."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import oddsymplectic
+from oddsymplectic import brackets
 from oddsymplectic.brackets import check_axioms
 from oddsymplectic.charts import Transition, exponentiate_hamiltonian
 from oddsymplectic.gaussian import GaussianRational
@@ -69,3 +73,64 @@ def test_unused_methods_and_options_are_gone():
     assert list(inspect.signature(check_axioms).parameters) == ["bracket", "eps", "triples"]
     assert not hasattr(importlib.import_module("oddsymplectic.brackets"), "_check_one_triple")
     assert list(inspect.signature(exponentiate_hamiltonian).parameters) == ["q", "time"]
+
+
+def test_namespace_lists_and_binds_every_public_name():
+    assert set(oddsymplectic.__all__) <= set(dir(oddsymplectic))
+    namespace = {}
+    exec("from oddsymplectic import *", namespace)
+    assert all(name in namespace for name in oddsymplectic.__all__)
+    assert namespace["berezinian"] is oddsymplectic.berezinian
+    with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):
+        oddsymplectic.frobnicate
+
+
+def test_namespace_reads_the_module_on_every_lookup(monkeypatch):
+    original = brackets.odd_poisson_bracket
+    assert oddsymplectic.odd_poisson_bracket is original
+
+    def patched(f, g):
+        return original(f, g)
+
+    monkeypatch.setattr(brackets, "odd_poisson_bracket", patched)
+    assert oddsymplectic.odd_poisson_bracket is patched
+    monkeypatch.undo()
+    assert oddsymplectic.odd_poisson_bracket is original
+    assert "odd_poisson_bracket" not in vars(oddsymplectic)
+
+
+def unused_imports(source):
+    """``(line, name)`` for each name an import binds that the source never
+    reads and does not list in ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and "__all__" in [getattr(t, "id", None) for t in node.targets]:
+            read |= {elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os, sys\nfrom a import b as c, d\n"
+    assert unused_imports(source + "print(sys, d)\n") == [(2, "os"), (3, "c")]
+    assert unused_imports(source + "__all__ = ['c', 'd']\nos.sep, sys\n") == []
+
+
+@pytest.mark.parametrize("folder", ["src", "tests"])
+def test_every_imported_name_is_used(folder):
+    # Stands in for a linter's unused-import rule, since none is installed.
+    root = Path(__file__).resolve().parents[1]
+    found = {
+        str(path.relative_to(root)): unused
+        for path in sorted((root / folder).rglob("*.py"))
+        if (unused := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
