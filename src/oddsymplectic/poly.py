@@ -9,15 +9,15 @@ Exact division and the gcd share one kernel over Z[i]: :func:`_cleared`
 clears denominators and :func:`_divide_exact` is the one long division.
 :meth:`Polynomial.cofactors` (gcd and both quotients) reduces fractions.
 
-Before its heuristic, :meth:`Polynomial.gcd` tries two proofs modulo the
-prime ``p = 1 000 000 009 ≡ 1 (mod 4)``, where ``I`` has an image.  If, for
-every variable both operands hold, the univariate gcd of their images (other
-variables at fixed residues, both leading coefficients surviving) has
-degree 0, the true gcd has degree 0 in that variable (Brown, "On Euclid's
+The gcd has three stages.  Shortcuts settle a shared monomial, a one-term
+operand and disjoint variables.  Two proofs modulo the prime
+``p = 1 000 000 009 ≡ 1 (mod 4)``, where ``I`` has an image, settle coprime
+pairs and pairs where one operand divides the other.  Any other pair goes to
+Brown's dense modular gcd in :mod:`oddsymplectic.brown` ("On Euclid's
 algorithm and the computation of polynomial greatest common divisors",
-J. ACM 18, 1971), so it is 1.  If instead those gcds keep the full degree
-of one operand in each of its variables, one exact division decides
-whether that operand divides the other, and then it is the gcd.
+J. ACM 18, 1971), combined over primes by the Chinese remainder theorem and
+certified by one exact division of each operand over Z[i], whose quotients
+are the cofactors.
 """
 
 from __future__ import annotations
@@ -31,21 +31,14 @@ from .gaussian import ONE, ZERO, GaussianRational, QLike, to_gaussian
 __all__ = ["Polynomial"]
 
 _Exps = tuple[int, ...]
-
 _GaussInt = tuple[int, int]
-
 _GaussTerms = dict[_Exps, _GaussInt]
-
 _UNIT: _GaussInt = (1, 0)
 
-# The prime of the modular gcd proofs, ≡ 1 (mod 4), and a square root of -1
+# The first prime of the modular gcd, ≡ 1 (mod 4), and a square root of -1
 # modulo it, the image of ``I``.
 _P = 1_000_000_009
 _I_MOD_P = 569_522_298
-
-
-class _HeuristicFailed(Exception):
-    """The evaluation-based gcd gave up; the caller falls back to remainders."""
 
 
 def _normal(re: int, im: int) -> _GaussInt:
@@ -145,95 +138,6 @@ def _cleared(terms: dict[_Exps, GaussianRational]) -> tuple[_GaussTerms, int]:
     return {e: (c.a * (lcm // c.d), c.b * (lcm // c.d)) for e, c in terms.items()}, lcm
 
 
-def _evaluate(terms: _GaussTerms, index: int, xi: int) -> _GaussTerms:
-    """Substitute the rational integer ``xi`` for one variable."""
-    out: dict[_Exps, list[int]] = {}
-    for exps, (re, im) in terms.items():
-        key = exps[:index] + (0,) + exps[index + 1 :]
-        power = xi ** exps[index]
-        acc = out.get(key)
-        if acc is None:
-            out[key] = [re * power, im * power]
-        else:
-            acc[0] += re * power
-            acc[1] += im * power
-    return {e: (re, im) for e, (re, im) in out.items() if re or im}
-
-
-def _interpolate(h: _GaussTerms, index: int, xi: int) -> _GaussTerms:
-    """Read balanced base-``xi`` digits of ``h`` as powers of one variable.
-
-    ``xi`` is a rational integer, so the real and imaginary parts lift
-    separately.
-    """
-    out: _GaussTerms = {}
-    power = 0
-    half = xi // 2
-    while h:
-        carry: _GaussTerms = {}
-        for exps, (re, im) in h.items():
-            r = re % xi
-            if r > half:
-                r -= xi
-            s = im % xi if im else 0
-            if s > half:
-                s -= xi
-            if r or s:
-                out[exps[:index] + (power,) + exps[index + 1 :]] = (r, s)
-            re = (re - r) // xi
-            im = (im - s) // xi
-            if re or im:
-                carry[exps] = (re, im)
-        h = carry
-        power += 1
-    return out
-
-
-def _heuristic_gcd(f: _GaussTerms, g: _GaussTerms, nvars: int) -> _GaussTerms:
-    """Gcd over Z[i] by evaluation, recursive gcd, and digit lifting (GCDHEU).
-
-    This is the heuristic of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
-    1989) over the Gaussian integers: the evaluation point is a rational
-    integer larger than twice the smaller coefficient bound, measured as
-    ``max(|re| + |im|)``.  Every candidate is verified by exact division over
-    Z[i] (a UFD, so Gauss's lemma holds) before it is returned, so a
-    successful result is always a genuine common divisor of maximal degree;
-    unlucky evaluation points only cause retries and, after six of them,
-    :class:`_HeuristicFailed`.
-    """
-    cf = _content(f)
-    cg = _content(g)
-    c = _gaussian_gcd(cf, cg)
-    f = _primitive(f, cf)
-    g = _primitive(g, cg)
-    live: set[int] = set()
-    for terms in (f, g):
-        for exps in terms:
-            for i, e in enumerate(exps):
-                if e:
-                    live.add(i)
-    if not live:
-        return {(0,) * nvars: c}
-    index = max(live)
-    nf = max(abs(re) + abs(im) for re, im in f.values())
-    ng = max(abs(re) + abs(im) for re, im in g.values())
-    xi = 2 * min(nf, ng) + 29
-    cr, ci = c
-    for _ in range(6):
-        if xi.bit_length() > 4000:
-            raise _HeuristicFailed
-        ff = _evaluate(f, index, xi)
-        gg = _evaluate(g, index, xi)
-        if ff and gg:
-            h = _heuristic_gcd(ff, gg, nvars)
-            cand = _interpolate(h, index, xi)
-            cand = _primitive(cand, _content(cand))
-            if _divide_exact(f, cand) is not None and _divide_exact(g, cand) is not None:
-                return {e: (cr * re - ci * im, cr * im + ci * re) for e, (re, im) in cand.items()}
-        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    raise _HeuristicFailed
-
-
 def _residues(nvars: int) -> list[int]:
     """The fixed nonzero points of Z/p at which the modular proofs put the variables."""
     return [pow(3, 64 + j, _P) for j in range(nvars)]
@@ -269,24 +173,34 @@ def _univariate_images(
     }
 
 
-def _gcd_degree_mod_p(f: list[int], g: list[int]) -> int:
-    """Degree of the gcd in Z/p[x] of two dense coefficient lists with nonzero leads."""
+def _gcd_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
+    """Monic gcd in Z/p[x] of dense lists, lowest degree first, with nonzero leads
+    (``f`` may be empty): the proofs' degree test, and the base case of Brown's gcd."""
     f = list(f)
     while g:
         dg = len(g) - 1
         if not dg:
-            return 0
-        inv = pow(g[-1], -1, _P)
+            return [1]
+        inv = pow(g[-1], -1, p)
         while len(f) > dg:
-            q = f.pop() * inv % _P
+            q = f.pop() * inv % p
             if q:
                 shift = len(f) - dg
                 for k in range(dg):
-                    f[shift + k] = (f[shift + k] - q * g[k]) % _P
+                    f[shift + k] = (f[shift + k] - q * g[k]) % p
         while f and not f[-1]:
             f.pop()
         f, g = list(g), f
-    return len(f) - 1
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _polynomial(nvars: int, terms: _GaussTerms, factor: GaussianRational) -> "Polynomial":
+    """``factor`` times the polynomial with the nonzero Gaussian-integer ``terms``."""
+    out = {e: GaussianRational(re, im) for e, (re, im) in terms.items()}
+    if factor != 1:
+        out = {e: c * factor for e, c in out.items()}
+    return Polynomial._trusted(nvars, out)
 
 
 # The shared constant one of each variable count, built on first use.
@@ -548,23 +462,49 @@ class Polynomial:
             return None
         cr, ci = content
         scale = GaussianRational(div_lcm) / GaussianRational(num_lcm * cr, num_lcm * ci)
-        result = Polynomial(
-            self.nvars, {e: GaussianRational(re, im) for e, (re, im) in quotient.items()}
-        )
-        return result if scale == 1 else result.scale(scale)
+        return _polynomial(self.nvars, quotient, scale)
 
     def cofactors(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial", "Polynomial"]:
-        """``(g, self / g, other / g)`` with ``g`` the monic gcd.
+        """``(g, self / g, other / g)`` with ``g`` the monic gcd over Q(i).
 
-        When ``g`` is constant the operands come back unchanged.
+        When ``g`` is constant the operands come back unchanged.  After the
+        shortcuts, :meth:`_gcd_modular` and then Brown's modular gcd
+        (:func:`oddsymplectic.brown.gcd_cofactors`) find ``g``;
+        the quotients are those of the division that certified it.
         """
-        g = Polynomial.gcd(self, other)
-        if g.is_constant():
-            return g, self, other
-        p = self.divide_exact(g)
-        q = other.divide_exact(g)
-        assert p is not None and q is not None
-        return g, p, q
+        self._check(other)
+        a, b, nvars = self, other, self.nvars
+        if not a.terms or not b.terms:
+            g = (a + b).monic()
+            if g.is_constant():
+                return g, a, b
+            lc = Polynomial.constant((a + b).leading()[1], nvars)
+            return (g, a, lc) if not a.terms else (g, lc, b)
+        mins = tuple(min(x, y) for x, y in zip(a._monomial_content(), b._monomial_content()))
+        if any(mins):
+            g, a_g, b_g = a._shift_down(mins).cofactors(b._shift_down(mins))
+            return g * Polynomial.monomial(mins, 1, nvars), a_g, b_g
+        vars_a, vars_b = a.variables_present(), b.variables_present()
+        if len(a.terms) == 1 or len(b.terms) == 1 or not vars_a & vars_b:
+            return Polynomial.one(nvars), a, b
+        proven = Polynomial._gcd_modular(a, b, vars_a, vars_b)
+        if proven is not None:
+            return proven
+        from .brown import gcd_cofactors
+
+        fa, la = _cleared(a.terms)
+        fb, lb = _cleared(b.terms)
+        ca, cb = _content(fa), _content(fb)
+        found = gcd_cofactors(_primitive(fa, ca), _primitive(fb, cb))
+        if found is None:
+            return Polynomial.one(nvars), a, b
+        # a = (ca / la) * primitive(a) = (ca / la) * lc * monic gcd * (a's quotient).
+        gcd_terms, quotient_a, quotient_b = found
+        lc = GaussianRational(*gcd_terms[max(gcd_terms)])
+        g = _polynomial(nvars, gcd_terms, lc.inverse())
+        a_g = _polynomial(nvars, quotient_a, lc * GaussianRational(*ca) / la)
+        b_g = _polynomial(nvars, quotient_b, lc * GaussianRational(*cb) / lb)
+        return g, a_g, b_g
 
     def monic(self) -> "Polynomial":
         """Scale so the lex-leading coefficient is one (zero stays zero)."""
@@ -575,38 +515,6 @@ class Polynomial:
             return self
         inv = lc.inverse()
         return Polynomial(self.nvars, {e: c * inv for e, c in self.terms.items()})
-
-    @staticmethod
-    def _content_primitive(p: "Polynomial", index: int) -> tuple["Polynomial", "Polynomial"]:
-        """Content (gcd of v^k-coefficients) and primitive part along one variable."""
-        coeffs = list(p.coefficients_in(index).values())
-        content = coeffs[0]
-        for c in coeffs[1:]:
-            content = Polynomial.gcd(content, c)
-            if content.is_constant():
-                break
-        content = content.monic()
-        primitive = p.divide_exact(content)
-        assert primitive is not None
-        return content, primitive
-
-    @staticmethod
-    def _pseudo_remainder(a: "Polynomial", b: "Polynomial", index: int) -> "Polynomial":
-        """A polynomial proportional to the remainder of ``a`` by ``b`` in variable ``index``."""
-        deg_b = b.degree_in(index)
-        lc_b = b.coefficients_in(index)[deg_b]
-        remainder = a
-        nvars = a.nvars
-        while not remainder.is_zero():
-            deg_r = remainder.degree_in(index)
-            if deg_r < deg_b:
-                break
-            lc_r = remainder.coefficients_in(index)[deg_r]
-            shift = Polynomial.monomial(
-                tuple(deg_r - deg_b if i == index else 0 for i in range(nvars)), 1, nvars
-            )
-            remainder = remainder * lc_b - b * lc_r * shift
-        return remainder
 
     def _monomial_content(self) -> _Exps:
         """Elementwise minimum of the exponent tuples (the shared monomial)."""
@@ -631,38 +539,17 @@ class Polynomial:
         )
 
     @staticmethod
-    def _gcd_heuristic(a: "Polynomial", b: "Polynomial") -> "Polynomial | None":
-        """Heuristic gcd over Q(i), or ``None`` when the heuristic gives up.
-
-        Multiplies each polynomial by the lcm of its coefficients' shared
-        denominators ``d`` to reach Z[i] coefficients and runs the
-        Gaussian-integer evaluate/lift/verify strategy; real inputs are its
-        ``im == 0`` case.  The result is a verified gcd up to a constant
-        factor.
-        """
-        try:
-            h = _heuristic_gcd(_cleared(a.terms)[0], _cleared(b.terms)[0], a.nvars)
-        except _HeuristicFailed:
-            return None
-        return Polynomial(a.nvars, {e: GaussianRational(re, im) for e, (re, im) in h.items()})
-
-    @staticmethod
     def _gcd_modular(
         a: "Polynomial", b: "Polynomial", vars_a: set[int], vars_b: set[int]
-    ) -> "Polynomial | None":
-        """The gcd when a computation modulo ``_P`` proves it, else ``None``.
+    ) -> "tuple[Polynomial, Polynomial, Polynomial] | None":
+        """The :meth:`cofactors` when a computation modulo ``_P`` proves the gcd, else ``None``.
 
         Each variable both operands hold gets the univariate gcd of their
         images (:func:`_univariate_images`), which must keep both leading
-        coefficients.  Its degree bounds the true gcd's degree in that
-        variable from above (Brown, J. ACM 18, 1971): the map to Z/p is a
-        ring homomorphism, and as it keeps both leading coefficients it
-        keeps the degree of every factor, so the true gcd goes to a common
-        divisor of the images of the same degree.  So degree 0 everywhere
-        proves the gcd is 1.  If instead the degree is
-        that of one operand in each of its variables, one exact division
-        over Z[i] checks whether that operand divides the other; if it
-        does, it is the gcd.
+        coefficients, so its degree bounds the true gcd's (Brown, J. ACM 18,
+        1971).  Degree 0 everywhere proves the gcd is 1.  If instead it is the
+        degree of one operand in each of its variables, one exact division
+        checks whether that operand divides the other, and then it is the gcd.
         """
         shared = sorted(vars_a & vars_b)
         points = _residues(a.nvars)
@@ -675,87 +562,29 @@ class Polynomial:
             fa, fb = images_a[index], images_b[index]
             if not fa[-1] or not fb[-1]:
                 return None
-            degree = _gcd_degree_mod_p(fa, fb)
+            degree = len(_gcd_mod_p(fa, fb, _P)) - 1
             coprime = coprime and not degree
             a_divides = a_divides and degree == len(fa) - 1
             b_divides = b_divides and degree == len(fb) - 1
             if not (coprime or a_divides or b_divides):
                 return None
         if coprime:
-            return Polynomial.one(a.nvars)
+            return Polynomial.one(a.nvars), a, b
         small, large = (b, a) if b_divides else (a, b)
-        div = _cleared(small.terms)[0]
-        if _divide_exact(_cleared(large.terms)[0], _primitive(div, _content(div))) is None:
+        quotient = large.divide_exact(small)
+        if quotient is None:
             return None
-        return small.monic()
+        # Divided by the monic gcd, the divisor leaves its leading coefficient.
+        lc = small.leading()[1]
+        g, small_g = small.monic(), Polynomial.constant(lc, a.nvars)
+        large_g = quotient if lc == 1 else quotient.scale(lc)
+        return (g, large_g, small_g) if b_divides else (g, small_g, large_g)
 
     @staticmethod
     def gcd(a: "Polynomial", b: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor over Q(i).
-
-        A shared monomial factor comes out first, and a one-term operand or
-        no shared variable means the rest is 1.  Then two proofs modulo a
-        prime (:meth:`_gcd_modular`, after Brown, J. ACM 18, 1971) settle
-        coprime pairs and pairs where one operand divides the other.  Any
-        other pair goes to the Gaussian-integer evaluation heuristic, with
-        a primitive pseudo-remainder sequence as the fallback when the
-        heuristic gives up.
-        """
-        a._check(b)
-        if a.is_zero():
-            return b.monic()
-        if b.is_zero():
-            return a.monic()
-        mins = tuple(
-            min(x, y) for x, y in zip(a._monomial_content(), b._monomial_content())
-        )
-        if any(mins):
-            core = Polynomial.gcd(a._shift_down(mins), b._shift_down(mins))
-            return (core * Polynomial.monomial(mins, 1, a.nvars)).monic()
-        if len(a.terms) == 1 or len(b.terms) == 1:
-            return Polynomial.one(a.nvars)
-        vars_a, vars_b = a.variables_present(), b.variables_present()
-        if not vars_a & vars_b:
-            return Polynomial.one(a.nvars)
-        proven = Polynomial._gcd_modular(a, b, vars_a, vars_b)
-        if proven is not None:
-            return proven
-        heuristic = Polynomial._gcd_heuristic(a, b)
-        if heuristic is not None:
-            return heuristic.monic()
-        return Polynomial._gcd_prs(a, b)
-
-    @staticmethod
-    def _gcd_prs(a: "Polynomial", b: "Polynomial") -> "Polynomial":
-        """Monic gcd by a primitive pseudo-remainder sequence.
-
-        The fallback of :meth:`gcd` for when :meth:`_gcd_heuristic` gives up;
-        it works over any coefficients but is much slower.
-        """
-        shared = a.variables_present() | b.variables_present()
-        index = max(shared)
-        content_a, prim_a = Polynomial._content_primitive(a, index)
-        content_b, prim_b = Polynomial._content_primitive(b, index)
-        content = Polynomial.gcd(content_a, content_b)
-        if prim_a.degree_in(index) < prim_b.degree_in(index):
-            prim_a, prim_b = prim_b, prim_a
-        while True:
-            if prim_b.is_zero():
-                part = prim_a
-                break
-            if prim_b.degree_in(index) == 0:
-                part = Polynomial.one(a.nvars)
-                break
-            remainder = Polynomial._pseudo_remainder(prim_a, prim_b, index)
-            if remainder.is_zero():
-                part = prim_b
-                break
-            if remainder.degree_in(index) == 0:
-                part = Polynomial.one(a.nvars)
-                break
-            _, reduced = Polynomial._content_primitive(remainder, index)
-            prim_a, prim_b = prim_b, reduced
-        return (content * part).monic()
+        """Monic greatest common divisor over Q(i): shortcuts, then the proofs
+        modulo a prime, then Brown's modular gcd (see :meth:`cofactors`)."""
+        return a.cofactors(b)[0]
 
     def sqrt(self) -> "Polynomial | None":
         """Exact square root of a perfect square, or ``None``.

@@ -562,6 +562,11 @@ def test_berezinian_loads_charts_but_not_the_suites(cold_start_modules):
     assert "suites" not in cold_start_modules["berezinian"]
 
 
+def test_no_command_here_loads_browns_gcd(cold_start_modules):
+    # None of these inputs has a fraction that the gcd proofs leave open.
+    assert not any("brown" in loaded for loaded in cold_start_modules.values())
+
+
 def test_only_the_suite_command_loads_the_suites(cold_start_modules):
     for module in ("suites", "sampling"):
         users = {name for name, loaded in cold_start_modules.items() if module in loaded}

@@ -1,11 +1,14 @@
 """Gcd, cofactors, exact division and the Scalar normal form, checked against sympy.
 
-Polynomials in one to three variables with Gaussian-rational coefficients are
-generated with a planted common factor, or at random for the modular gcd
-proofs.  The oracle works in ``QQ_I``, sympy's field of Gaussian rationals.
-``sympy`` and ``hypothesis`` are test-only dependencies.
+Polynomials in one to three variables (up to five on Brown's path) with
+Gaussian-rational coefficients are generated with a planted common factor, or
+at random for the modular gcd proofs.  The oracle works in ``QQ_I``, sympy's
+field of Gaussian rationals.  ``sympy`` and ``hypothesis`` are test-only
+dependencies.
 """
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -13,9 +16,10 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oddsymplectic import poly
+from oddsymplectic import brown, poly
 from oddsymplectic.gaussian import GaussianRational
 from oddsymplectic.poly import Polynomial
+from oddsymplectic.sampling import MAX_DIMENSION
 from oddsymplectic.scalar import Scalar
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -35,9 +39,9 @@ def _polynomial(draw, nvars: int) -> Polynomial:
 
 
 @st.composite
-def _planted(draw) -> tuple[Polynomial, Polynomial, Polynomial]:
+def _planted(draw, max_vars: int = 3) -> tuple[Polynomial, Polynomial, Polynomial]:
     """Three nonzero polynomials in a shared variable set: (u, v, w)."""
-    nvars = draw(st.integers(1, 3))
+    nvars = draw(st.integers(1, max_vars))
     return tuple(draw(_polynomial(nvars)) for _ in range(3))
 
 
@@ -69,11 +73,7 @@ def _lex_monic_gcd(a: Polynomial, b: Polynomial):
 def test_gcd_matches_sympy(polys):
     u, v, w = polys
     a, b = u * v, u * w
-    expected = _lex_monic_gcd(a, b)
-    assert _to_sympy(Polynomial.gcd(a, b)) == expected
-    heuristic = Polynomial._gcd_heuristic(a, b)
-    assert heuristic is not None
-    assert _to_sympy(heuristic.monic()) == expected
+    assert _to_sympy(Polynomial.gcd(a, b)) == _lex_monic_gcd(a, b)
 
 
 def _check_cofactors(a: Polynomial, b: Polynomial) -> None:
@@ -91,12 +91,17 @@ def test_cofactors_match_sympy(polys):
     _check_cofactors(u * v, u * w)
 
 
+def _without_proofs(mp: pytest.MonkeyPatch) -> None:
+    """Send every pair past the shortcuts to Brown's gcd."""
+    mp.setattr(Polynomial, "_gcd_modular", staticmethod(lambda a, b, vars_a, vars_b: None))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(_planted())
-def test_cofactors_match_sympy_on_the_prs_path(polys):
+@given(_planted(MAX_DIMENSION))
+def test_cofactors_match_sympy_on_the_brown_path(polys):
     u, v, w = polys
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Polynomial, "_gcd_heuristic", staticmethod(lambda a, b: None))
+        _without_proofs(mp)
         _check_cofactors(u * v, u * w)
 
 
@@ -112,19 +117,6 @@ def test_divide_exact_matches_sympy_div(polys, perturb):
         assert _to_sympy(ours) == quotient
     else:
         assert ours is None
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(_planted())
-def test_prs_fallback_agrees_with_the_heuristic(polys):
-    u, v, w = polys
-    a, b = u * v, u * w
-    expected = Polynomial.gcd(a, b)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Polynomial, "_gcd_heuristic", staticmethod(lambda a, b: None))
-        fallback = Polynomial.gcd(a, b)
-    assert fallback == expected
-    assert _to_sympy(fallback) == _lex_monic_gcd(a, b)
 
 
 @SETTINGS
@@ -163,11 +155,17 @@ def test_scalar_partial_matches_sympy_diff(case):
     assert _to_sympy(derivative.num) == top.quo_ground(bottom.LC())
 
 
-# -- the modular proofs before the heuristic ------------------------------------------
+# -- the modular proofs before Brown's gcd -------------------------------------------
 
 
 def _modular(a: Polynomial, b: Polynomial) -> "Polynomial | None":
-    return Polynomial._gcd_modular(a, b, a.variables_present(), b.variables_present())
+    """The gcd the proofs settle, after checking the cofactors they return."""
+    proven = Polynomial._gcd_modular(a, b, a.variables_present(), b.variables_present())
+    if proven is None:
+        return None
+    g, a_g, b_g = proven
+    assert (g * a_g, g * b_g) == (a, b)
+    return g
 
 
 @st.composite
@@ -231,38 +229,147 @@ def test_a_denominator_divisible_by_p_is_inconclusive(pair, multiple):
 
 
 def _count_gcd_work(monkeypatch) -> dict[str, int]:
-    counts = {"heuristic": 0, "divide": 0}
-    heuristic, divide = Polynomial._gcd_heuristic, poly._divide_exact
+    counts = {"brown": 0, "divide": 0}
+    gcd_cofactors, divide = brown.gcd_cofactors, poly._divide_exact
 
-    def counted_heuristic(a, b):
-        counts["heuristic"] += 1
-        return heuristic(a, b)
+    def counted_brown(f, g):
+        counts["brown"] += 1
+        return gcd_cofactors(f, g)
 
     def counted_divide(num, div):
         counts["divide"] += 1
         return divide(num, div)
 
-    monkeypatch.setattr(Polynomial, "_gcd_heuristic", staticmethod(counted_heuristic))
+    monkeypatch.setattr(brown, "gcd_cofactors", counted_brown)
+    # The one Z[i] long division, under both modules' names for it.
     monkeypatch.setattr(poly, "_divide_exact", counted_divide)
+    monkeypatch.setattr(brown, "_divide_exact", counted_divide)
     return counts
 
 
-def test_a_coprime_multi_term_pair_skips_the_heuristic(monkeypatch):
+def test_a_coprime_multi_term_pair_costs_no_division(monkeypatch):
     x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
     one = Polynomial.one(2)
     a, b = x * x + y + one, x + y * y + one.scale(3)
     counts = _count_gcd_work(monkeypatch)
     assert Polynomial.gcd(a, b) == one
-    assert counts == {"heuristic": 0, "divide": 0}
+    assert a.cofactors(b) == (one, a, b)
+    assert counts == {"brown": 0, "divide": 0}
 
 
-def test_a_dividing_operand_costs_one_division_and_no_heuristic(monkeypatch):
+def test_a_dividing_operand_costs_one_division_and_no_brown(monkeypatch):
     x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
     one = Polynomial.one(2)
     b = (x + y.scale(GaussianRational(0, 2)) + one).scale(Fraction(3, 4))
     a = b * (x - y + one.scale(2))
     counts = _count_gcd_work(monkeypatch)
     for first, second in ((a, b), (b, a)):
-        counts.update(heuristic=0, divide=0)
-        assert Polynomial.gcd(first, second) == b.monic()
-        assert counts == {"heuristic": 0, "divide": 1}
+        counts.update(brown=0, divide=0)
+        g, first_g, second_g = first.cofactors(second)
+        assert g == b.monic()
+        assert (g * first_g, g * second_g) == (first, second)
+        assert counts == {"brown": 0, "divide": 1}
+
+
+def test_brown_cofactors_are_its_certifying_quotients(monkeypatch):
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    one = Polynomial.one(2)
+    u = x * y + y.scale(Fraction(1, 3)) + one
+    a, b = u * (x - y), u * (x * x + y.scale(GaussianRational(0, 1)))
+    counts = _count_gcd_work(monkeypatch)
+    g, a_g, b_g = a.cofactors(b)
+    assert g == u.monic()
+    assert (g * a_g, g * b_g) == (a, b)
+    # One prime suffices, and both quotients come from the two divisions
+    # that certify the gcd: cofactors divides nothing again.
+    assert counts == {"brown": 1, "divide": 2}
+
+
+# -- Brown's failure modes: each case must end, with sympy's answer ------------------
+
+
+@contextmanager
+def _ends_within(seconds: int):
+    """Fail, instead of hanging, when the body runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"did not end within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _on_brown_path(a: Polynomial, b: Polynomial, monkeypatch) -> list[int]:
+    """Check cofactors on Brown's path; return the primes its images used."""
+    primes = []
+    pgcd = brown._pgcd
+
+    def recorded(f, g, p, *base):
+        primes.append(p)
+        return pgcd(f, g, p, *base)
+
+    _without_proofs(monkeypatch)
+    monkeypatch.setattr(brown, "_pgcd", recorded)
+    with _ends_within(60):
+        _check_cofactors(a, b)
+    return sorted(set(primes))
+
+
+def _variables(nvars: int) -> list[Polynomial]:
+    return [Polynomial.variable(i, nvars) for i in range(nvars)]
+
+
+def test_unlucky_evaluation_points_are_not_repeated_for_every_prime(monkeypatch):
+    x0, x1, x2 = _variables(3)
+    one = Polynomial.one(3)
+    # At (x1, x2) = (1, 1) the images share more than the gcd, so points
+    # must not be 1, 2, 3, ...
+    square = (x0.scale(2) - one.scale(3)) ** 2
+    a = (x0 * x2 * x2).scale(8) * square
+    b = square * ((x0 * x2).scale(3) + (x1 * x2).scale(2) - one.scale(2)) ** 2
+    _on_brown_path(a, b, monkeypatch)
+    assert Polynomial.gcd(a, b) == x0 * x0 - x0.scale(3) + one.scale(Fraction(9, 4))
+    # At x1 = 1, b is a constant times a.
+    a, b = (x0 - one) * (x0 + one.scale(2)), (x0 - one) * (x0 + x1.scale(2))
+    _on_brown_path(a, b, monkeypatch)
+    assert Polynomial.gcd(a, b) == x0 - one
+    # Where x0 = x2, x0*x1 - x2 gains the factor x1 - 1, so two levels that
+    # shared their points would meet an unlucky one in every call.
+    a, b = (x1 - one) * (x0 * x1 - x2), (x1 - one) ** 2
+    _on_brown_path(a, b, monkeypatch)
+    assert Polynomial.gcd(a, b) == x1 - one
+    # x1 = 2^64 is the first point of every prime, and there b is 2^64 times
+    # a: only the division modulo p that checks each candidate rejects it.
+    a, b = (x0 - one) * (x0 + one.scale(2)), (x0 - one) * (x0.scale(2**64) + x1.scale(2))
+    _on_brown_path(a, b, monkeypatch)
+    assert Polynomial.gcd(a, b) == x0 - one
+
+
+def test_a_leading_coefficient_divisible_by_the_first_prime_skips_it(monkeypatch):
+    x0, x1 = _variables(2)
+    one = Polynomial.one(2)
+    u = x0 + x1 + one
+    a, b = u * (x0.scale(poly._P) + one), u * (x0 - x1.scale(2))
+    assert poly._P not in _on_brown_path(a, b, monkeypatch)
+
+
+@pytest.mark.parametrize("big", [2**41 + 1, GaussianRational(3, 2**41 + 1)])
+def test_a_coefficient_above_one_prime_needs_more(big, monkeypatch):
+    x0, x1 = _variables(2)
+    one = Polynomial.one(2)
+    u = x0 + x1.scale(big) + one
+    a, b = u * (x0 - x1), u * (x0 + one.scale(2))
+    assert len(_on_brown_path(a, b, monkeypatch)) >= 2
+
+
+def test_a_gaussian_factor_comes_back_from_one_image(monkeypatch):
+    x0, x1 = _variables(2)
+    one = Polynomial.one(2)
+    u = x0 + x1.scale(GaussianRational(0, 1))
+    a, b = u * (x0 - x1 + one), u * (x1 + one.scale(2)) * u
+    assert _on_brown_path(a, b, monkeypatch) == [poly._P]
