@@ -26,10 +26,8 @@ _EXPORTS = {
     "poly": ("Polynomial",),
     "scalar": ("Scalar",),
     "superalgebra": ("Chart", "OddKind", "SuperFunction"),
-    "brackets": (
-        "PoissonStructure",
-        "odd_poisson_bracket",
-        "hamiltonian_vector_field",
+    "brackets": ("PoissonStructure", "odd_poisson_bracket", "hamiltonian_vector_field"),
+    "derived": (
         "AxiomReport",
         "check_axioms",
         "CotangentStructure",

@@ -1,31 +1,266 @@
-"""Brown's dense modular gcd over the Gaussian integers.
+"""Exact division over Z[i] and the gcd stages after the shortcuts.
 
-The last stage of :meth:`oddsymplectic.poly.Polynomial.cofactors`, for the
-pairs that its shortcuts and its proofs modulo one prime leave open (Brown,
-"On Euclid's algorithm and the computation of polynomial greatest common
-divisors", J. ACM 18, 1971).  It lives in its own module, which
-``cofactors`` imports when a pair first reaches it, so a command that never
-needs it does not compile it.
+:meth:`oddsymplectic.poly.Polynomial.divide_exact` and the part of
+:meth:`~oddsymplectic.poly.Polynomial.cofactors` past its shortcuts run
+here.  Both share one kernel over Z[i]: :func:`_cleared` clears
+denominators and :func:`_divide_exact` is the one long division.  The module
+is imported when a pair first passes the shortcuts, so a command that
+reduces no fraction does not compile it.
+
+The gcd has two stages here.  Two proofs modulo the prime
+``p = 1 000 000 009 ≡ 1 (mod 4)``, where ``I`` has an image, settle coprime
+pairs and pairs where one operand divides the other (:func:`_gcd_modular`).
+Any other pair goes to Brown's dense modular gcd ("On Euclid's algorithm and
+the computation of polynomial greatest common divisors", J. ACM 18, 1971),
+combined over primes by the Chinese remainder theorem and certified by one
+exact division of each operand over Z[i], whose quotients are the cofactors.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import chain, count, zip_longest
 from typing import Iterable, Iterator
 
-from .poly import (
-    _I_MOD_P,
-    _P,
-    _content,
-    _divide_exact,
-    _Exps,
-    _gaussian_gcd,
-    _GaussTerms,
-    _gcd_mod_p,
-    _primitive,
-)
+from .gaussian import GaussianRational
+from .poly import Polynomial, _Exps
 
-__all__ = ["gcd_cofactors"]
+__all__ = ["cofactors", "divide_exact", "gcd_cofactors"]
+
+_GaussInt = tuple[int, int]
+_GaussTerms = dict[_Exps, _GaussInt]
+_UNIT: _GaussInt = (1, 0)
+
+# The first prime of the modular gcd, ≡ 1 (mod 4), and a square root of -1
+# modulo it, the image of ``I``.
+_P = 1_000_000_009
+_I_MOD_P = 569_522_298
+
+
+# -- exact division over Z[i] -----------------------------------------------------------
+
+
+def _normal(re: int, im: int) -> _GaussInt:
+    """The associate of ``re + im*I`` with ``re > 0`` and ``im >= 0`` (zero stays)."""
+    if not re and not im:
+        return (0, 0)
+    while re <= 0 or im < 0:
+        re, im = -im, re
+    return (re, im)
+
+
+def _gaussian_gcd(a: _GaussInt, b: _GaussInt) -> _GaussInt:
+    """Normalised gcd in Z[i] by Euclid with the nearest-integer quotient."""
+    ar, ai = a
+    br, bi = b
+    if not ai and not bi:
+        return (math.gcd(ar, br), 0)
+    while br or bi:
+        norm = br * br + bi * bi
+        qr = (2 * (ar * br + ai * bi) + norm) // (2 * norm)
+        qi = (2 * (ai * br - ar * bi) + norm) // (2 * norm)
+        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return _normal(ar, ai)
+
+
+def _gaussian_quotient(a: _GaussInt, b: _GaussInt) -> _GaussInt | None:
+    """``a / b`` in Z[i], or ``None`` when ``b`` does not divide ``a``."""
+    ar, ai = a
+    br, bi = b
+    if not bi:
+        qr, rr = divmod(ar, br)
+        qi, ri = divmod(ai, br)
+    else:
+        norm = br * br + bi * bi
+        qr, rr = divmod(ar * br + ai * bi, norm)
+        qi, ri = divmod(ai * br - ar * bi, norm)
+    if rr or ri:
+        return None
+    return (qr, qi)
+
+
+def _content(terms: _GaussTerms) -> _GaussInt:
+    """Normalised gcd of the Gaussian-integer coefficients (zero for ``{}``)."""
+    c: _GaussInt = (0, 0)
+    for v in terms.values():
+        c = _gaussian_gcd(c, v)
+        if c == _UNIT:
+            break
+    return c
+
+
+def _primitive(terms: _GaussTerms, content: _GaussInt) -> _GaussTerms:
+    """Divide every coefficient by ``content``, which must divide them all."""
+    if content == _UNIT:
+        return terms
+    return {e: _gaussian_quotient(v, content) for e, v in terms.items()}
+
+
+def _divide_exact(num: _GaussTerms, div: _GaussTerms) -> _GaussTerms | None:
+    """Exact quotient of Gaussian-integer term dicts in lex order, or ``None``."""
+    if not num:
+        return {}
+    lt_d = max(div)
+    lc_d = div[lt_d]
+    tail = [(e, v) for e, v in div.items() if e != lt_d]
+    quotient: _GaussTerms = {}
+    rem = dict(num)
+    while rem:
+        lt_r = max(rem)
+        diff = tuple(a - b for a, b in zip(lt_r, lt_d))
+        if any(d < 0 for d in diff):
+            return None
+        q = _gaussian_quotient(rem.pop(lt_r), lc_d)
+        if q is None:
+            return None
+        quotient[diff] = q
+        qr, qi = q
+        for exps, (vr, vi) in tail:
+            shifted = tuple(a + b for a, b in zip(exps, diff))
+            acc = rem.get(shifted, (0, 0))
+            re = acc[0] - vr * qr + vi * qi
+            im = acc[1] - vr * qi - vi * qr
+            if re or im:
+                rem[shifted] = (re, im)
+            else:
+                rem.pop(shifted, None)
+    return quotient
+
+
+def _cleared(terms: dict[_Exps, GaussianRational]) -> tuple[_GaussTerms, int]:
+    """Gaussian-integer terms ``lcm * terms`` and ``lcm``, the coefficients' shared denominator."""
+    lcm = 1
+    for coeff in terms.values():
+        den = coeff.d
+        if den != 1:
+            lcm = lcm * (den // math.gcd(lcm, den))
+    return {e: (c.a * (lcm // c.d), c.b * (lcm // c.d)) for e, c in terms.items()}, lcm
+
+
+def _polynomial(nvars: int, terms: _GaussTerms, factor: GaussianRational) -> Polynomial:
+    """``factor`` times the polynomial with the nonzero Gaussian-integer ``terms``."""
+    out = {e: GaussianRational(re, im) for e, (re, im) in terms.items()}
+    if factor != 1:
+        out = {e: c * factor for e, c in out.items()}
+    return Polynomial._trusted(nvars, out)
+
+
+def divide_exact(num: Polynomial, div: Polynomial) -> Polynomial | None:
+    """:meth:`Polynomial.divide_exact` for a nonzero divisor on the same variables."""
+    num_terms, num_lcm = _cleared(num.terms)
+    div_terms, div_lcm = _cleared(div.terms)
+    content = _content(div_terms)
+    quotient = _divide_exact(num_terms, _primitive(div_terms, content))
+    if quotient is None:
+        return None
+    cr, ci = content
+    scale = GaussianRational(div_lcm) / GaussianRational(num_lcm * cr, num_lcm * ci)
+    return _polynomial(num.nvars, quotient, scale)
+
+
+# -- proofs modulo one prime ------------------------------------------------------------
+
+
+def _residues(nvars: int) -> list[int]:
+    """The fixed nonzero points of Z/p at which the modular proofs put the variables."""
+    return [pow(3, 64 + j, _P) for j in range(nvars)]
+
+
+def _univariate_images(
+    terms: dict[_Exps, GaussianRational], indices: list[int], points: list[int]
+) -> dict[int, list[int]] | None:
+    """For each listed variable, the image of ``terms`` in Z/p[that variable].
+
+    ``I`` goes to :data:`_I_MOD_P` and every other variable to its point.
+    Each image is a dense coefficient list, lowest degree first, one entry
+    per degree up to the true degree, so its last entry is the image of the
+    leading coefficient.  ``None`` when ``p`` divides a denominator.
+    """
+    images: dict[int, dict[int, int]] = {index: {} for index in indices}
+    for exps, c in terms.items():
+        den = c.d
+        if not den % _P:
+            return None
+        value = (c.a + c.b * _I_MOD_P) % _P
+        if den != 1:
+            value = value * pow(den, -1, _P) % _P
+        for index, image in images.items():
+            v = value
+            for j, e in enumerate(exps):
+                if e and j != index:
+                    v = v * pow(points[j], e, _P) % _P
+            k = exps[index]
+            image[k] = (image.get(k, 0) + v) % _P
+    return {
+        index: [image.get(k, 0) for k in range(max(image) + 1)] for index, image in images.items()
+    }
+
+
+def _gcd_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
+    """Monic gcd in Z/p[x] of dense lists, lowest degree first, with nonzero leads
+    (``f`` may be empty): the proofs' degree test, and the base case of Brown's gcd."""
+    f = list(f)
+    while g:
+        dg = len(g) - 1
+        if not dg:
+            return [1]
+        inv = pow(g[-1], -1, p)
+        while len(f) > dg:
+            q = f.pop() * inv % p
+            if q:
+                shift = len(f) - dg
+                for k in range(dg):
+                    f[shift + k] = (f[shift + k] - q * g[k]) % p
+        while f and not f[-1]:
+            f.pop()
+        f, g = list(g), f
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _gcd_modular(
+    a: Polynomial, b: Polynomial, vars_a: set[int], vars_b: set[int]
+) -> tuple[Polynomial, Polynomial, Polynomial] | None:
+    """The :func:`cofactors` when a computation modulo ``_P`` proves the gcd, else ``None``.
+
+    Each variable both operands hold gets the univariate gcd of their
+    images (:func:`_univariate_images`), which must keep both leading
+    coefficients, so its degree bounds the true gcd's (Brown, J. ACM 18,
+    1971).  Degree 0 everywhere proves the gcd is 1.  If instead it is the
+    degree of one operand in each of its variables, one exact division
+    checks whether that operand divides the other, and then it is the gcd.
+    """
+    shared = sorted(vars_a & vars_b)
+    points = _residues(a.nvars)
+    images_a = _univariate_images(a.terms, shared, points)
+    images_b = _univariate_images(b.terms, shared, points)
+    if images_a is None or images_b is None:
+        return None
+    coprime, a_divides, b_divides = True, vars_a <= vars_b, vars_b <= vars_a
+    for index in shared:
+        fa, fb = images_a[index], images_b[index]
+        if not fa[-1] or not fb[-1]:
+            return None
+        degree = len(_gcd_mod_p(fa, fb, _P)) - 1
+        coprime = coprime and not degree
+        a_divides = a_divides and degree == len(fa) - 1
+        b_divides = b_divides and degree == len(fb) - 1
+        if not (coprime or a_divides or b_divides):
+            return None
+    if coprime:
+        return Polynomial.one(a.nvars), a, b
+    small, large = (b, a) if b_divides else (a, b)
+    quotient = large.divide_exact(small)
+    if quotient is None:
+        return None
+    # Divided by the monic gcd, the divisor leaves its leading coefficient.
+    lc = small.leading()[1]
+    g, small_g = small.monic(), Polynomial.constant(lc, a.nvars)
+    large_g = quotient if lc == 1 else quotient.scale(lc)
+    return (g, large_g, small_g) if b_divides else (g, small_g, large_g)
+
+
+# -- Brown's modular gcd ----------------------------------------------------------------
 
 
 def _quo_p(f: list[int], g: list[int], p: int) -> list[int]:
@@ -273,3 +508,32 @@ def gcd_cofactors(
         if quotient_g is not None:
             return candidate, quotient_f, quotient_g
     raise AssertionError("unreachable")
+
+
+def cofactors(
+    a: Polynomial, b: Polynomial, vars_a: set[int], vars_b: set[int]
+) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """:meth:`Polynomial.cofactors` for a pair its shortcuts leave open.
+
+    ``a`` and ``b`` share a variable, have two terms or more, no common
+    monomial factor and variables ``vars_a`` and ``vars_b``.
+    :func:`_gcd_modular` and then :func:`gcd_cofactors` find the gcd; the
+    quotients are those of the division that certified it.
+    """
+    proven = _gcd_modular(a, b, vars_a, vars_b)
+    if proven is not None:
+        return proven
+    nvars = a.nvars
+    fa, la = _cleared(a.terms)
+    fb, lb = _cleared(b.terms)
+    ca, cb = _content(fa), _content(fb)
+    found = gcd_cofactors(_primitive(fa, ca), _primitive(fb, cb))
+    if found is None:
+        return Polynomial.one(nvars), a, b
+    # a = (ca / la) * primitive(a) = (ca / la) * lc * monic gcd * (a's quotient).
+    gcd_terms, quotient_a, quotient_b = found
+    lc = GaussianRational(*gcd_terms[max(gcd_terms)])
+    g = _polynomial(nvars, gcd_terms, lc.inverse())
+    a_g = _polynomial(nvars, quotient_a, lc * GaussianRational(*ca) / la)
+    b_g = _polynomial(nvars, quotient_b, lc * GaussianRational(*cb) / lb)
+    return g, a_g, b_g

@@ -31,7 +31,6 @@ Jacobian with the same routine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -46,7 +45,7 @@ from .errors import (
 )
 from .laplacians import VolumeForm, delta0, delta_rho
 from .scalar import ScalarLike
-from .superalgebra import Chart, SuperFunction
+from .superalgebra import Chart, SuperFunction, _Record
 
 __all__ = [
     "Transition",
@@ -134,8 +133,7 @@ def _solve_even(
 # -- transitions ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(_Record):
     """A coordinate change, stored as source coordinates in target terms.
 
     ``images`` maps every source even/odd coordinate name to its expression
@@ -145,36 +143,38 @@ class Transition:
     :func:`exponentiate_hamiltonian`.
     """
 
+    _fields = ("source", "target", "images")
+
     source: Chart
     target: Chart
     images: Mapping[str, SuperFunction]
 
-    def __post_init__(self) -> None:
-        _require_matching_blocks(self.source, self.target)
+    def __init__(self, source: Chart, target: Chart, images: Mapping[str, SuperFunction]) -> None:
+        _require_matching_blocks(source, target)
         fixed: dict[str, SuperFunction] = {}
-        for name in self.source.even_coords + self.source.odd_coords:
-            img = self.images.get(name)
+        for name in source.even_coords + source.odd_coords:
+            img = images.get(name)
             if img is None:
-                if not self.target.has_generator(name):
+                if not target.has_generator(name):
                     raise InvalidTransition(
                         f"no image given for coordinate {name!r} and the target "
                         f"chart has no generator of that name"
                     )
-                img = SuperFunction.generator(self.target, name)
-            if img.chart != self.target:
+                img = SuperFunction.generator(target, name)
+            if img.chart != target:
                 raise ChartMismatch(f"image of {name!r} does not live on the target chart")
-            even = self.source.parity_of(name) == 0
+            even = source.parity_of(name) == 0
             if even and not img.is_even():
                 raise ParityViolation(f"image of even coordinate {name!r} must be even")
             if not even and not (img.is_zero() or img.is_odd()):
                 raise ParityViolation(f"image of odd coordinate {name!r} must be odd")
             fixed[name] = img
-        extra = set(self.images) - set(fixed)
+        extra = set(images) - set(fixed)
         if extra:
             raise InvalidTransition(
                 f"images given for names that are not source coordinates: {sorted(extra)}"
             )
-        object.__setattr__(self, "images", fixed)
+        self._set(source=source, target=target, images=fixed)
 
     # -- constructors ----------------------------------------------------------
 
@@ -414,8 +414,7 @@ def laplacian_conjugation_defect(
 # -- densities -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(_Record):
     """A density of rational weight: ``coefficient * D(x, th)^weight``.
 
     Weight one is a volume element, weight one-half a semidensity, weight
@@ -424,14 +423,16 @@ class Density:
     Berezinian).
     """
 
+    _fields = ("chart", "coefficient", "weight")
+
     chart: Chart
     coefficient: SuperFunction
     weight: Fraction
 
-    def __post_init__(self) -> None:
-        if self.coefficient.chart != self.chart:
+    def __init__(self, chart: Chart, coefficient: SuperFunction, weight: Fraction) -> None:
+        if coefficient.chart != chart:
             raise ChartMismatch("density coefficient must live on the stated chart")
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        self._set(chart=chart, coefficient=coefficient, weight=Fraction(weight))
 
     @classmethod
     def semidensity(cls, coefficient: SuperFunction) -> "Density":
@@ -553,13 +554,21 @@ def exponentiate_hamiltonian(
 # -- normality ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(_Record):
     """Which candidate transitions normalise a volume element."""
+
+    _fields = ("normalising", "delta_on_root", "root_is_closed")
 
     normalising: tuple[int, ...]
     delta_on_root: SuperFunction
     root_is_closed: bool
+
+    def __init__(
+        self, normalising: tuple[int, ...], delta_on_root: SuperFunction, root_is_closed: bool
+    ) -> None:
+        self._set(
+            normalising=normalising, delta_on_root=delta_on_root, root_is_closed=root_is_closed
+        )
 
     @property
     def found(self) -> bool:

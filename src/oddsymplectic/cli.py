@@ -6,13 +6,18 @@ Every chart, whether from ``--n``, ``--chart`` or a transition, holds at
 most :data:`~oddsymplectic.expressions.MAX_DIMENSION` generators in each block.
 Exit codes: 0 on success, 1 when an exact check fails, 2 on usage, syntax,
 or other input errors, 3 on an internal error (a bug, reported in one
-``internal error:`` line).  Each subcommand imports only the modules it uses.
+``internal error:`` line).
+
+Every run pays the interpreter's cold start, so each subcommand imports only
+the modules it uses: ``bracket`` loads no operator module above
+:mod:`~oddsymplectic.brackets`, :mod:`json` is imported only to read a JSON
+argument or print ``--format json``, and no module that a command other
+than ``suite`` loads uses :mod:`dataclasses`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -49,10 +54,15 @@ EXIT_INTERNAL = 3
 
 def _load_json(argument: str) -> Any:
     """Decode inline JSON, or the contents of the file the argument names."""
+    import json
+
     text = argument.strip()
     if not text.startswith(("{", "[")):
         text = Path(argument).read_text(encoding="utf-8")
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _bounded(chart: Chart) -> Chart:
@@ -93,6 +103,8 @@ def _resolve_transition(argument: str) -> Transition:
 
 def _emit(args: argparse.Namespace, lines: Sequence[str], data: Any) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(data, indent=2))
     else:
         for line in lines:
@@ -290,7 +302,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dimension(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if not 1 <= value <= MAX_DIMENSION:
         raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_DIMENSION}")
     return value

@@ -33,14 +33,13 @@ an image expression per generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .errors import ExpressionSyntaxError, UnknownGenerator
 from .gaussian import GaussianRational
 from .scalar import Scalar
-from .superalgebra import Chart, SuperFunction
+from .superalgebra import Chart, SuperFunction, _Record
 
 if TYPE_CHECKING:
     from .charts import Transition
@@ -110,12 +109,16 @@ MAX_COUNT = 256
 # -- tokenizer ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(_Record):
+    _fields = ("kind", "text", "line", "column")
+
     kind: str  # "int" | "name" | "punct" | "end"
     text: str
     line: int
     column: int
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        self._set(kind=kind, text=text, line=line, column=column)
 
 
 _PUNCT = set("+-*/^(),")

@@ -25,7 +25,6 @@ restriction of a semidensity to the Lagrangian graph of a closed one-form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .charts import (
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .laplacians import VolumeForm, delta_rho
 from .scalar import Scalar
-from .superalgebra import Chart, OddKind, SuperFunction, bits_of
+from .superalgebra import Chart, OddKind, SuperFunction, _Record, bits_of
 
 __all__ = [
     "BaseDensity",
@@ -88,14 +87,26 @@ def darboux_partner(forms_chart: Chart) -> Chart:
     """The Darboux chart conjugate to a fiber-odd chart (same base, th block)."""
     n = _base_dimension(forms_chart, forms=True)
     ths = tuple(f"th{i}" for i in range(1, n + 1))
-    return replace(forms_chart, odd_coords=ths, fiber_odds=())
+    return Chart(
+        forms_chart.name,
+        forms_chart.even_coords,
+        odd_coords=ths,
+        external_odds=forms_chart.external_odds,
+        params=forms_chart.params,
+    )
 
 
 def forms_partner(darboux_chart: Chart) -> Chart:
     """The fiber-odd chart conjugate to a Darboux chart (same base, xi block)."""
     n = _base_dimension(darboux_chart, forms=False)
     xis = tuple(f"xi{i}" for i in range(1, n + 1))
-    return replace(darboux_chart, odd_coords=(), fiber_odds=xis)
+    return Chart(
+        darboux_chart.name,
+        darboux_chart.even_coords,
+        fiber_odds=xis,
+        external_odds=darboux_chart.external_odds,
+        params=darboux_chart.params,
+    )
 
 
 def _complement(f: SuperFunction, target: Chart, sign: int) -> SuperFunction:
@@ -152,26 +163,26 @@ def semidensity_to_form(density: Density) -> SuperFunction:
 # -- base densities and multivector divergence --------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaseDensity:
+class BaseDensity(_Record):
     """A density on the base: a coefficient free of both odd coordinate blocks.
 
     External odd constants may appear in the coefficient; the coordinate and
     fiber generators may not.
     """
 
+    _fields = ("chart", "coefficient")
+
     chart: Chart
     coefficient: SuperFunction
 
-    def __post_init__(self) -> None:
-        if self.coefficient.chart != self.chart:
+    def __init__(self, chart: Chart, coefficient: SuperFunction) -> None:
+        if coefficient.chart != chart:
             raise ChartMismatch("base density coefficient must live on the stated chart")
-        if self.coefficient.odd_degree(OddKind.COORDINATE) or self.coefficient.odd_degree(
-            OddKind.FIBER
-        ):
+        if coefficient.odd_degree(OddKind.COORDINATE) or coefficient.odd_degree(OddKind.FIBER):
             raise ParityViolation(
                 "a base density may not involve the odd coordinates or fibers"
             )
+        self._set(chart=chart, coefficient=coefficient)
 
     @classmethod
     def constant(cls, chart: Chart, value=1) -> "BaseDensity":
@@ -185,13 +196,26 @@ def hodge(f: SuperFunction, sigma: BaseDensity) -> SuperFunction:
     return semidensity_to_form(Density.semidensity(f * sigma.coefficient))
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(_Record):
     """Two routes to the divergence of a multivector field and their defect."""
+
+    _fields = ("laplacian_route", "classical_route", "nilpotency_defect")
 
     laplacian_route: SuperFunction
     classical_route: SuperFunction
     nilpotency_defect: SuperFunction
+
+    def __init__(
+        self,
+        laplacian_route: SuperFunction,
+        classical_route: SuperFunction,
+        nilpotency_defect: SuperFunction,
+    ) -> None:
+        self._set(
+            laplacian_route=laplacian_route,
+            classical_route=classical_route,
+            nilpotency_defect=nilpotency_defect,
+        )
 
     @property
     def defect(self) -> SuperFunction:

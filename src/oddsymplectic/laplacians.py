@@ -19,7 +19,6 @@ first-order modular vector field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -32,7 +31,7 @@ from .brackets import (
     odd_poisson_bracket,
 )
 from .errors import ChartMismatch, NonInvertibleBody, ParityViolation
-from .superalgebra import Chart, SuperFunction
+from .superalgebra import Chart, SuperFunction, _Record
 
 __all__ = [
     "VolumeForm",
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VolumeForm:
+class VolumeForm(_Record):
     """A volume element ``rho D(x, th)`` given by its even coefficient.
 
     Equality, hashing and ``repr`` see only ``(chart, coefficient)``.  The
@@ -56,17 +54,19 @@ class VolumeForm:
     volume after the first skips inverting ``rho``.
     """
 
+    _fields = ("chart", "coefficient")
+
     chart: Chart
     coefficient: SuperFunction
 
-    def __post_init__(self) -> None:
-        rho = self.coefficient
-        if rho.chart != self.chart:
+    def __init__(self, chart: Chart, coefficient: SuperFunction) -> None:
+        if coefficient.chart != chart:
             raise ChartMismatch("volume coefficient must live on the stated chart")
-        if rho.parity() != 0:
+        if coefficient.parity() != 0:
             raise ParityViolation("volume coefficient must be even")
-        if rho.body().is_zero():
+        if coefficient.body().is_zero():
             raise NonInvertibleBody("volume coefficient must have invertible body")
+        self._set(chart=chart, coefficient=coefficient)
 
     @classmethod
     def standard(cls, chart: Chart) -> "VolumeForm":

@@ -22,7 +22,6 @@ coefficients, never a numerical comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .brackets import odd_poisson_bracket
@@ -30,7 +29,7 @@ from .charts import Density, canonical_delta
 from .errors import ChartMismatch, NotProportional, ParityViolation
 from .forms import form_degree_component, semidensity_to_form
 from .laplacians import VolumeForm, delta0
-from .superalgebra import OddKind, SuperFunction, _nilpotent_series
+from .superalgebra import OddKind, SuperFunction, _nilpotent_series, _Record
 
 __all__ = [
     "nilpotent_exponential",
@@ -94,13 +93,17 @@ def classical_master_residual(action: SuperFunction) -> SuperFunction:
 # -- semidensities -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemidensityMasterReport:
+class SemidensityMasterReport(_Record):
     """Whether a semidensity is closed, and optionally exact for a witness."""
+
+    _fields = ("residual", "closed", "exact_matches")
 
     residual: Density
     closed: bool
-    exact_matches: bool | None = None
+    exact_matches: bool | None
+
+    def __init__(self, residual: Density, closed: bool, exact_matches: bool | None = None) -> None:
+        self._set(residual=residual, closed=closed, exact_matches=exact_matches)
 
 
 def semidensity_master_check(
@@ -118,8 +121,7 @@ def semidensity_master_check(
 # -- the odd constant of a volume element ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class NuReport:
+class NuReport(_Record):
     """The odd constant ``nu`` with ``Delta_0 sqrt(rho) = nu sqrt(rho)``.
 
     ``root_closed`` records ``nu == 0``; when the chart supports the form
@@ -127,10 +129,21 @@ class NuReport:
     degree-zero component of the corresponding closed form.
     """
 
+    _fields = ("root", "nu", "root_closed", "zero_form_constant")
+
     root: SuperFunction
     nu: SuperFunction
     root_closed: bool
-    zero_form_constant: SuperFunction | None = None
+    zero_form_constant: SuperFunction | None
+
+    def __init__(
+        self,
+        root: SuperFunction,
+        nu: SuperFunction,
+        root_closed: bool,
+        zero_form_constant: SuperFunction | None = None,
+    ) -> None:
+        self._set(root=root, nu=nu, root_closed=root_closed, zero_form_constant=zero_form_constant)
 
 
 def _is_chart_constant(f: SuperFunction) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from random import Random
 from typing import Any, Callable
 
-from . import brackets, charts, forms, laplacians, master, sampling
+from . import brackets, charts, derived, forms, laplacians, master, sampling
 from .charts import Density, Transition
 from .expressions import DEFAULT_COUNT, MAX_COUNT, SUITE_NAMES
 from .laplacians import VolumeForm
@@ -97,7 +97,7 @@ def _axiom_items(n: int, rng: Random, count: int) -> list[SuiteItem]:
         )
         for _ in range(count)
     ]
-    report = brackets.check_axioms(brackets.odd_poisson_bracket, 1, triples=triples)
+    report = derived.check_axioms(brackets.odd_poisson_bracket, 1, triples=triples)
     witness = "; ".join(report.failures[:2])
 
     def item(tag: str, description: str, ok: bool) -> SuiteItem:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -75,41 +75,98 @@ def koszul_sign(left_mask: int, right_mask: int) -> int:
     return -1 if total & 1 else 1
 
 
-@dataclass(frozen=True)
-class Chart:
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its constructor's arguments in ``_fields`` and stores
+    them with :meth:`_set`.  Two records are equal when they have the same
+    class and equal fields; hashing and ``repr`` also see the fields alone,
+    so an attribute kept beside them, such as a cache, changes none of the
+    three.  Assigning or deleting an attribute raises ``AttributeError``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _values: Callable[[object], tuple]
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        # Most comparisons of charts meet the same object twice.
+        if other.__class__ is self.__class__:
+            return self is other or self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set(self, **attributes: object) -> None:
+        """Store attributes at construction, past the refusal of ``__setattr__``."""
+        self.__dict__.update(attributes)
+
+
+class Chart(_Record):
     """A named coordinate chart with even and odd generators.
 
     ``even_coords`` are the geometric even coordinates (they participate in
     differentials, Jacobians and pairings); ``params`` are formal even
     parameters that ride along unchanged (``hbar`` by default).  The three
-    odd blocks are ordered coordinate < fiber < external.
+    odd blocks are ordered coordinate < fiber < external.  ``evens`` and
+    ``odds`` list every even and every odd generator in order.
     """
+
+    _fields = ("name", "even_coords", "odd_coords", "fiber_odds", "external_odds", "params")
 
     name: str
     even_coords: tuple[str, ...]
-    odd_coords: tuple[str, ...] = ()
-    fiber_odds: tuple[str, ...] = ()
-    external_odds: tuple[str, ...] = ()
-    params: tuple[str, ...] = ("hbar",)
+    odd_coords: tuple[str, ...]
+    fiber_odds: tuple[str, ...]
+    external_odds: tuple[str, ...]
+    params: tuple[str, ...]
+    evens: tuple[str, ...]
+    odds: tuple[str, ...]
 
-    evens: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    odds: tuple[str, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        evens = tuple(self.even_coords) + tuple(self.params)
-        odds = tuple(self.odd_coords) + tuple(self.fiber_odds) + tuple(self.external_odds)
+    def __init__(
+        self,
+        name: str,
+        even_coords: tuple[str, ...],
+        odd_coords: tuple[str, ...] = (),
+        fiber_odds: tuple[str, ...] = (),
+        external_odds: tuple[str, ...] = (),
+        params: tuple[str, ...] = ("hbar",),
+    ) -> None:
+        evens = tuple(even_coords) + tuple(params)
+        odds = tuple(odd_coords) + tuple(fiber_odds) + tuple(external_odds)
         names = evens + odds
         if len(set(names)) != len(names):
-            raise ValueError(f"chart {self.name!r} has repeated generator names")
+            raise ValueError(f"chart {name!r} has repeated generator names")
         for generator in names:
             if not generator.isidentifier():
                 raise ValueError(f"generator name {generator!r} is not an identifier")
             if generator == "I":
                 raise ValueError("generator name 'I' is reserved for the imaginary unit")
-        object.__setattr__(self, "evens", evens)
-        object.__setattr__(self, "odds", odds)
-        object.__setattr__(self, "_even_index", {n: i for i, n in enumerate(evens)})
-        object.__setattr__(self, "_odd_index", {n: i for i, n in enumerate(odds)})
+        self._set(
+            name=name,
+            even_coords=even_coords,
+            odd_coords=odd_coords,
+            fiber_odds=fiber_odds,
+            external_odds=external_odds,
+            params=params,
+            evens=evens,
+            odds=odds,
+            _even_index={n: i for i, n in enumerate(evens)},
+            _odd_index={n: i for i, n in enumerate(odds)},
+        )
 
     # -- construction ----------------------------------------------------------
 
@@ -154,12 +211,26 @@ class Chart:
     def with_externals(self, *names: str) -> "Chart":
         """A copy of this chart with extra external odd constants appended."""
         missing = tuple(n for n in names if n not in self.external_odds)
-        return replace(self, external_odds=self.external_odds + missing)
+        return Chart(
+            self.name,
+            self.even_coords,
+            self.odd_coords,
+            self.fiber_odds,
+            self.external_odds + missing,
+            self.params,
+        )
 
     def with_params(self, *names: str) -> "Chart":
         """A copy of this chart with extra even parameters appended."""
         missing = tuple(n for n in names if n not in self.params)
-        return replace(self, params=self.params + missing)
+        return Chart(
+            self.name,
+            self.even_coords,
+            self.odd_coords,
+            self.fiber_odds,
+            self.external_odds,
+            self.params + missing,
+        )
 
     # -- lookups -----------------------------------------------------------------
 

@@ -11,12 +11,12 @@ from random import Random
 
 import pytest
 
-from oddsymplectic.brackets import (
+from oddsymplectic.brackets import odd_poisson_bracket
+from oddsymplectic.derived import (
     CotangentStructure,
     MasterHamiltonian,
     check_axioms,
     master_condition,
-    odd_poisson_bracket,
 )
 from oddsymplectic.charts import (
     Density,

@@ -7,13 +7,15 @@ import pytest
 
 from oddsymplectic import charts, sampling
 from oddsymplectic.brackets import (
+    PoissonStructure,
+    hamiltonian_vector_field,
+    odd_poisson_bracket,
+)
+from oddsymplectic.derived import (
     CotangentStructure,
     MasterHamiltonian,
-    PoissonStructure,
     check_axioms,
-    hamiltonian_vector_field,
     master_condition,
-    odd_poisson_bracket,
 )
 from oddsymplectic.charts import (
     Density,

@@ -359,6 +359,13 @@ def test_charts_past_the_dimension_cap_are_refused():
     assert at_cap.returncode == 0 and at_cap.stdout == "1\n"
 
 
+def test_a_dimension_that_is_no_integer_is_a_usage_error():
+    proc = run_subprocess("bracket", "x1", "th1", "--n", "abc")
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("error: argument --n: not an integer: 'abc'\n")
+    assert "_dimension" not in proc.stderr
+
+
 def test_deep_nesting_is_a_syntax_error_not_a_crash():
     deep = "(" * 3000 + "x1" + ")" * 3000
     proc = run_subprocess("bracket", deep, "th1")
@@ -366,6 +373,15 @@ def test_deep_nesting_is_a_syntax_error_not_a_crash():
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert f"more than {MAX_NESTING} deep" in proc.stderr
+
+
+def test_deeply_nested_json_is_an_input_error_not_a_crash():
+    deep_list = "[" * 3000 + "]" * 3000
+    deep_object = '{"a": ' * 3000 + "1" + "}" * 3000
+    for argv in (("bracket", "x1", "th1", "--chart", deep_list), ("berezinian", deep_object)):
+        proc = run_subprocess(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr == "error: JSON input is nested too deeply\n"
 
 
 def test_exponent_past_the_bound_is_a_syntax_error_not_a_hang():
@@ -514,12 +530,16 @@ def test_an_expression_that_begins_with_a_minus_sign_goes_after_the_separator(ca
 
 
 # Runs ``cli.main`` on the argv given as JSON; the last line of stdout lists
-# the package's submodules that were loaded.
+# the package's submodules that were loaded, and ``dataclasses`` if it was.
+# The probe imports json itself; the CI workflow checks json on ``python -m``.
 IMPORT_PROBE = """\
 import json, sys
 from oddsymplectic import cli
 cli.main(json.loads(sys.argv[1]))
-print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("oddsymplectic."))))
+loaded = [m.split(".", 1)[1] for m in sys.modules if m.startswith("oddsymplectic.")]
+if "dataclasses" in sys.modules:
+    loaded.append("dataclasses")
+print(json.dumps(sorted(loaded)))
 """
 
 ONE_OF_EACH = {
@@ -563,11 +583,12 @@ def test_berezinian_loads_charts_but_not_the_suites(cold_start_modules):
 
 
 def test_no_command_here_loads_browns_gcd(cold_start_modules):
-    # None of these inputs has a fraction that the gcd proofs leave open.
+    # No fraction in these inputs passes the gcd's shortcuts, so none reaches
+    # exact division, the proofs modulo a prime or Brown's gcd, all in brown.
     assert not any("brown" in loaded for loaded in cold_start_modules.values())
 
 
 def test_only_the_suite_command_loads_the_suites(cold_start_modules):
-    for module in ("suites", "sampling"):
+    for module in ("suites", "sampling", "derived", "dataclasses"):
         users = {name for name, loaded in cold_start_modules.items() if module in loaded}
         assert users == {"suite"}, module

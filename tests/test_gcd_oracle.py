@@ -16,7 +16,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oddsymplectic import brown, poly
+from oddsymplectic import brown
 from oddsymplectic.gaussian import GaussianRational
 from oddsymplectic.poly import Polynomial
 from oddsymplectic.sampling import MAX_DIMENSION
@@ -93,7 +93,7 @@ def test_cofactors_match_sympy(polys):
 
 def _without_proofs(mp: pytest.MonkeyPatch) -> None:
     """Send every pair past the shortcuts to Brown's gcd."""
-    mp.setattr(Polynomial, "_gcd_modular", staticmethod(lambda a, b, vars_a, vars_b: None))
+    mp.setattr(brown, "_gcd_modular", lambda a, b, vars_a, vars_b: None)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -160,7 +160,7 @@ def test_scalar_partial_matches_sympy_diff(case):
 
 def _modular(a: Polynomial, b: Polynomial) -> "Polynomial | None":
     """The gcd the proofs settle, after checking the cofactors they return."""
-    proven = Polynomial._gcd_modular(a, b, a.variables_present(), b.variables_present())
+    proven = brown._gcd_modular(a, b, a.variables_present(), b.variables_present())
     if proven is None:
         return None
     g, a_g, b_g = proven
@@ -205,7 +205,7 @@ def test_a_leading_coefficient_vanishing_at_the_residues_is_inconclusive(pair, d
         for p in (u, b)
     )
     assume(b.degree_in(0) > 0)
-    r1 = poly._residues(nvars)[1]
+    r1 = brown._residues(nvars)[1]
     x0, x1 = Polynomial.variable(0, nvars), Polynomial.variable(1, nvars)
     tail = u.set_vars_to_zero([0])
     if tail.is_zero():
@@ -222,7 +222,7 @@ def test_a_denominator_divisible_by_p_is_inconclusive(pair, multiple):
     assume(len(a.terms) > 1 and a.variables_present() & b.variables_present())
     exps, coeff = next(iter(a.terms.items()))
     terms = dict(a.terms)
-    terms[exps] = coeff * GaussianRational(Fraction(1, multiple * poly._P))
+    terms[exps] = coeff * GaussianRational(Fraction(1, multiple * brown._P))
     a = Polynomial(a.nvars, terms)
     assert _modular(a, b) is None
     assert _to_sympy(Polynomial.gcd(a, b)) == _lex_monic_gcd(a, b)
@@ -230,7 +230,7 @@ def test_a_denominator_divisible_by_p_is_inconclusive(pair, multiple):
 
 def _count_gcd_work(monkeypatch) -> dict[str, int]:
     counts = {"brown": 0, "divide": 0}
-    gcd_cofactors, divide = brown.gcd_cofactors, poly._divide_exact
+    gcd_cofactors, divide = brown.gcd_cofactors, brown._divide_exact
 
     def counted_brown(f, g):
         counts["brown"] += 1
@@ -241,8 +241,7 @@ def _count_gcd_work(monkeypatch) -> dict[str, int]:
         return divide(num, div)
 
     monkeypatch.setattr(brown, "gcd_cofactors", counted_brown)
-    # The one Z[i] long division, under both modules' names for it.
-    monkeypatch.setattr(poly, "_divide_exact", counted_divide)
+    # The one Z[i] long division.
     monkeypatch.setattr(brown, "_divide_exact", counted_divide)
     return counts
 
@@ -354,8 +353,8 @@ def test_a_leading_coefficient_divisible_by_the_first_prime_skips_it(monkeypatch
     x0, x1 = _variables(2)
     one = Polynomial.one(2)
     u = x0 + x1 + one
-    a, b = u * (x0.scale(poly._P) + one), u * (x0 - x1.scale(2))
-    assert poly._P not in _on_brown_path(a, b, monkeypatch)
+    a, b = u * (x0.scale(brown._P) + one), u * (x0 - x1.scale(2))
+    assert brown._P not in _on_brown_path(a, b, monkeypatch)
 
 
 @pytest.mark.parametrize("big", [2**41 + 1, GaussianRational(3, 2**41 + 1)])
@@ -372,4 +371,4 @@ def test_a_gaussian_factor_comes_back_from_one_image(monkeypatch):
     one = Polynomial.one(2)
     u = x0 + x1.scale(GaussianRational(0, 1))
     a, b = u * (x0 - x1 + one), u * (x1 + one.scale(2)) * u
-    assert _on_brown_path(a, b, monkeypatch) == [poly._P]
+    assert _on_brown_path(a, b, monkeypatch) == [brown._P]

@@ -11,8 +11,8 @@ import pytest
 
 import oddsymplectic
 from oddsymplectic import brackets
-from oddsymplectic.brackets import check_axioms
 from oddsymplectic.charts import Transition, exponentiate_hamiltonian
+from oddsymplectic.derived import check_axioms
 from oddsymplectic.gaussian import GaussianRational
 from oddsymplectic.superalgebra import Chart, SuperFunction
 
@@ -57,6 +57,15 @@ def test_removed_aliases_are_gone():
     assert not hasattr(Transition, "from_images")
     assert not hasattr(Chart, "doubled")
     assert list(inspect.signature(SuperFunction.retarget).parameters) == ["self", "target"]
+
+
+def test_the_axiom_check_and_derived_brackets_live_only_in_derived():
+    derived = importlib.import_module("oddsymplectic.derived")
+    for name in derived.__all__:
+        assert not hasattr(brackets, name), name
+        if name in oddsymplectic.__all__:
+            assert getattr(oddsymplectic, name) is getattr(derived, name)
+    assert not hasattr(brackets, "__getattr__")
 
 
 def test_unused_methods_and_options_are_gone():

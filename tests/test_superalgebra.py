@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from oddsymplectic.charts import Density, Transition
 from oddsymplectic.errors import (
     ChartMismatch,
     NoExactSquareRoot,
@@ -14,7 +15,9 @@ from oddsymplectic.errors import (
     UnknownGenerator,
 )
 from oddsymplectic.gaussian import GaussianRational
-from oddsymplectic.master import nilpotent_exponential
+from oddsymplectic.forms import BaseDensity
+from oddsymplectic.laplacians import VolumeForm
+from oddsymplectic.master import SemidensityMasterReport, nilpotent_exponential
 from oddsymplectic.poly import Polynomial
 from oddsymplectic.superalgebra import Chart, OddKind, SuperFunction, koszul_sign
 
@@ -174,6 +177,34 @@ def test_values_pickle_and_copy(c2):
     den_one = x1.terms[0]
     for twin in _round_trips(den_one):
         assert twin.den is Polynomial.one(den_one.nvars)
+
+
+def test_records_compare_hash_and_print_by_their_fields_and_refuse_assignment(c2):
+    twin = Chart.darboux(2)
+    assert twin is not c2 and twin == c2 and hash(twin) == hash(c2)
+    assert c2 != Chart.darboux(2, name="D")
+    assert Chart("C", ("x1",)) == Chart("C", ("x1",), (), (), (), ("hbar",))
+    assert repr(c2) == (
+        "Chart(name='C', even_coords=('x1', 'x2'), odd_coords=('th1', 'th2'),"
+        " fiber_odds=(), external_odds=(), params=('hbar',))"
+    )
+    one = SuperFunction.one(c2)
+    # Equal fields make equal records only within one class.
+    assert VolumeForm(c2, one) != BaseDensity(c2, one)
+    report = SemidensityMasterReport(Density.semidensity(one), True)
+    assert report.exact_matches is None
+    assert report == SemidensityMasterReport(Density(c2, one, Fraction(1, 2)), True, None)
+    assert Density(c2, one, 1).weight == Fraction(1)
+    for record in (c2, report):
+        for copied in _round_trips(record):
+            assert copied == record and hash(copied) == hash(record)
+        with pytest.raises(AttributeError):
+            record.name = "D"
+        with pytest.raises(AttributeError):
+            del record.name
+    # A field that cannot be hashed makes the record unhashable, as a tuple would.
+    with pytest.raises(TypeError):
+        hash(Transition.identity(c2))
 
 
 # -- the nilpotent series behind invert, sqrt_even and exp --------------------------
