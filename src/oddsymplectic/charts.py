@@ -25,8 +25,8 @@ block along that column, so nilpotent determinants stay exact.  One solve
 of ``D X = C`` gives both ``det(D)`` and ``X = D^{-1} C`` (when ``B`` is
 zero, as for point maps and shifts, ``X`` is not needed and only ``det(D)``
 is computed); a second, without a right-hand side, gives the determinant of
-the Schur complement ``A - B X``.  Point transformations invert their base
-Jacobian with the same routine.
+the Schur complement ``A - B X``.  The cotangent lift of a base map solves
+``J^T th = th'`` for its odd images with the same routine.
 """
 
 from __future__ import annotations
@@ -161,6 +161,8 @@ class Transition(_Record):
                         f"chart has no generator of that name"
                     )
                 img = SuperFunction.generator(target, name)
+            elif not isinstance(img, SuperFunction):
+                raise InvalidTransition(f"image of {name!r} is not a function on the target chart")
             if img.chart != target:
                 raise ChartMismatch(f"image of {name!r} does not live on the target chart")
             even = source.parity_of(name) == 0
@@ -186,21 +188,21 @@ class Transition(_Record):
     def scaling(
         cls, source: Chart, target: Chart, factors: Sequence[ScalarLike]
     ) -> "Transition":
-        """Diagonal rescaling ``x^i -> c_i x'^i``, ``th_i -> th'_i / c_i``."""
+        """The lift of the diagonal base map ``x^i = c_i x'^i`` (see :meth:`point`).
+
+        For constant factors the odd coordinates scale inversely,
+        ``th_i = th'_i / c_i``; a factor may also be a function of the
+        target's even generators.  A zero factor makes the Jacobian
+        degenerate and raises :class:`~oddsymplectic.errors.InvalidTransition`.
+        """
         _require_matching_blocks(source, target)
-        n = len(source.even_coords)
-        if len(factors) != n:
+        if len(factors) != len(source.even_coords):
             raise InvalidTransition("need one factor per even coordinate")
-        images: dict[str, SuperFunction] = {}
-        for i, (x, th) in enumerate(zip(source.even_coords, source.odd_coords)):
-            c = SuperFunction.from_scalar(target, factors[i])
-            if c.body().is_zero():
-                raise InvalidTransition("scaling factors must be invertible")
-            images[x] = c * SuperFunction.generator(target, target.even_coords[i])
-            images[th] = c.invert() * SuperFunction.generator(
-                target, target.odd_coords[i]
-            )
-        return cls(source, target, images)
+        phi = [
+            SuperFunction.from_scalar(target, c) * SuperFunction.generator(target, x)
+            for c, x in zip(factors, target.even_coords)
+        ]
+        return cls.point(source, target, phi)
 
     @classmethod
     def point(
@@ -208,37 +210,28 @@ class Transition(_Record):
     ) -> "Transition":
         """The cotangent lift of a base map ``x^i = phi^i(x')``.
 
-        Odd coordinates transform contragradiently,
-        ``th_j = sum_k (J^{-1})_{kj} th'_k`` with ``J_ik = d phi^i / dx'^k``,
-        which preserves the canonical bracket.
+        Odd coordinates transform contragradiently: ``th`` solves
+        ``J^T th = th'`` with ``J_ik = d phi^i / dx'^k``, one elimination with
+        the column ``th'`` as right-hand side.  The lift preserves the
+        canonical bracket, and its Berezinian is ``det(J)^2``.
         """
         _require_matching_blocks(source, target)
-        n = len(source.even_coords)
-        if len(phi) != n:
+        if len(phi) != len(source.even_coords):
             raise InvalidTransition("need one image per even coordinate")
         for f in phi:
             if f.chart != target:
                 raise ChartMismatch("base map components must live on the target chart")
             if f.odd_degree() or not f.is_even():
                 raise InvalidTransition("base map components must be functions of x only")
-        jac = [
-            [phi[i].partial_even(xk) for xk in target.even_coords]
-            for i in range(n)
-        ]
-        one, zero = SuperFunction.one(target), SuperFunction.zero(target)
-        identity = [[one if r == c else zero for c in range(n)] for r in range(n)]
+        # Row k of J^T holds d phi^i / dx'^k; its right-hand side is th'_k.
+        jac_t = [[f.partial_even(xk) for f in phi] for xk in target.even_coords]
+        thetas = [[SuperFunction.generator(target, th)] for th in target.odd_coords]
         try:
-            _, jac_inv = _solve_even(jac, identity, target)
+            _, solution = _solve_even(jac_t, thetas, target)
         except NonInvertibleBody:
             raise InvalidTransition("base map has a degenerate Jacobian") from None
-        images: dict[str, SuperFunction] = {}
-        for i, x in enumerate(source.even_coords):
-            images[x] = phi[i]
-        for j, th in enumerate(source.odd_coords):
-            acc = SuperFunction.zero(target)
-            for k, thk in enumerate(target.odd_coords):
-                acc = acc + jac_inv[k][j] * SuperFunction.generator(target, thk)
-            images[th] = acc
+        images = dict(zip(source.even_coords, phi))
+        images.update((th, column[0]) for th, column in zip(source.odd_coords, solution))
         return cls(source, target, images)
 
     @classmethod

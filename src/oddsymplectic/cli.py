@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
 from .errors import NoExactSquareRoot, OddSymplecticError
@@ -58,7 +57,8 @@ def _load_json(argument: str) -> Any:
 
     text = argument.strip()
     if not text.startswith(("{", "[")):
-        text = Path(argument).read_text(encoding="utf-8")
+        with open(argument, encoding="utf-8") as handle:
+            text = handle.read()
     try:
         return json.loads(text)
     except RecursionError:

@@ -618,42 +618,30 @@ class SuperFunction:
         stay invertible.
         """
         chart = self.chart
-        even_imgs: list[SuperFunction | None] = []
-        for name in chart.evens:
+        imgs: list[SuperFunction | None] = []
+        for index, name in enumerate(chart.evens + chart.odds):
             img = images.get(name)
             if img is None:
                 # Default to the same-named target generator, resolved lazily
                 # so unused generators need not exist in the target chart.
-                even_imgs.append(
+                imgs.append(
                     SuperFunction.generator(target, name)
                     if target.has_generator(name)
                     else None
                 )
                 continue
+            odd = index >= chart.nvars
             if not isinstance(img, SuperFunction):
+                if odd:
+                    raise ParityViolation(f"image of odd generator {name!r} must be odd")
                 img = SuperFunction.from_scalar(target, img)
             elif img.chart != target:
                 raise ChartMismatch(f"image of {name!r} lives on chart {img.chart.name!r}")
-            if not img.is_even():
-                raise ParityViolation(f"image of even generator {name!r} must be even")
-            even_imgs.append(img)
-        odd_imgs: list[SuperFunction | None] = []
-        for name in chart.odds:
-            img = images.get(name)
-            if img is None:
-                odd_imgs.append(
-                    SuperFunction.generator(target, name)
-                    if target.has_generator(name)
-                    else None
-                )
-                continue
-            if not isinstance(img, SuperFunction):
-                raise ParityViolation(f"image of odd generator {name!r} must be odd")
-            if img.chart != target:
-                raise ChartMismatch(f"image of {name!r} lives on chart {img.chart.name!r}")
-            if not img.is_odd():
-                raise ParityViolation(f"image of odd generator {name!r} must be odd")
-            odd_imgs.append(img)
+            if not (img.is_odd() if odd else img.is_even()):
+                kind = "odd" if odd else "even"
+                raise ParityViolation(f"image of {kind} generator {name!r} must be {kind}")
+            imgs.append(img)
+        even_imgs, odd_imgs = imgs[: chart.nvars], imgs[chart.nvars :]
 
         power_cache: list[dict[int, SuperFunction]] = [dict() for _ in chart.evens]
 

@@ -31,6 +31,7 @@ from oddsymplectic.errors import (
     NotClosed,
     ParityViolation,
 )
+from oddsymplectic.gaussian import GaussianRational
 from oddsymplectic.laplacians import delta0
 from oddsymplectic.superalgebra import Chart, SuperFunction
 
@@ -67,6 +68,39 @@ def test_scaling_images_and_berezinian():
     assert sqrt_berezinian(t) == one(tgt).scale(2)
     assert is_symplectomorphism(t)
     assert bv_identity(t).is_zero()
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[3, -1], [Fraction(1, 2), Fraction(-5, 3)], [GaussianRational(1, 2), GaussianRational(0, -1)]],
+    ids=["int", "fraction", "gaussian"],
+)
+def test_scaling_is_the_lift_of_a_diagonal_map(factors):
+    src = Chart.darboux(2)
+    tgt = Chart.darboux(2, name="P")
+    x1p, x2p = gens(tgt, "x1", "x2")
+    scaled = Transition.scaling(src, tgt, factors)
+    lifted = Transition.point(src, tgt, [x1p * factors[0], x2p * factors[1]])
+    assert scaled.images == lifted.images
+
+
+def test_scaling_by_a_function_is_canonical():
+    src = Chart.darboux(1)
+    tgt = Chart.darboux(1, name="P")
+    x1p, th1p = gens(tgt, "x1", "th1")
+    stretch = one(tgt) + x1p
+    t = Transition.scaling(src, tgt, [stretch.body()])
+    # x1 = (1 + x1') x1', so J = 1 + 2 x1' and th1 = th1' / (1 + 2 x1').
+    assert t.images["x1"] == stretch * x1p
+    assert t.images["th1"] == th1p * (one(tgt) + x1p.scale(2)).invert()
+    assert is_symplectomorphism(t)
+    assert sqrt_berezinian(t) == one(tgt) + x1p.scale(2)
+    assert bv_identity(t).is_zero()
+
+
+def test_scaling_by_zero_is_a_degenerate_lift():
+    with pytest.raises(InvalidTransition, match="degenerate Jacobian"):
+        Transition.scaling(Chart.darboux(2), Chart.darboux(2, name="P"), [1, 0])
 
 
 def test_scaling_jacobian_blocks():
@@ -172,6 +206,14 @@ def test_transition_rejects_wrong_parity_image():
     (x1,) = gens(chart, "x1")
     with pytest.raises(ParityViolation):
         Transition(chart, chart, {"th1": x1})
+
+
+@pytest.mark.parametrize("images", [{"x1": 2}, {"th1": 0}], ids=["even", "odd"])
+def test_transition_rejects_an_image_that_is_not_a_function(images):
+    chart = Chart.darboux(1)
+    (name,) = images
+    with pytest.raises(InvalidTransition, match=f"image of '{name}' is not a function"):
+        Transition(chart, chart, images)
 
 
 def test_transition_rejects_unknown_image_names():

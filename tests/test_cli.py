@@ -113,6 +113,13 @@ def test_transition_from_file(capsys, tmp_path):
     assert code == 0 and out == "4"
 
 
+def test_a_file_argument_that_cannot_be_read_is_an_input_error(capsys, tmp_path):
+    for argument in (str(tmp_path / "missing.json"), str(tmp_path)):
+        code, out, err = run(capsys, "berezinian", argument)
+        assert code == 2 and out == "", argument
+        assert err.startswith("error: [Errno ") and argument in err, err
+
+
 def test_check_transition_pass_and_fail(capsys):
     code, out, _ = run(capsys, "check-transition", SCALING)
     assert code == 0
