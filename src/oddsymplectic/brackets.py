@@ -8,7 +8,10 @@ pairs ``x^i, th_i``:
 all derivatives acting from the left, with ``f~ = f_even - f_odd`` so that
 no parity split of ``f`` is needed.  The pairs ``(df/dx^i, df~/dth_i)`` form
 the Hamiltonian derivation ``D_f = {f, .}``, which also gives vector fields,
-``{log rho, .}``, Lie derivatives and flows.
+``{log rho, .}``, Lie derivatives and flows.  ``D_f`` is read off ``f``'s
+terms in one pass and applied in one pass over ``g``'s terms, summing every
+product into one dict; :func:`oddsymplectic.laplacians.delta0` works the same
+way.
 
 The same machinery supports an even or odd bracket for arbitrary conjugate
 pairs ``(u^A, v_A)`` with ``p(v_A) = p(u_A) + eps``, which covers cotangent
@@ -19,7 +22,8 @@ derived brackets from it and checks the bracket axioms.
 from __future__ import annotations
 
 from .errors import ChartMismatch, ParityViolation
-from .superalgebra import Chart, SuperFunction, _Record
+from .scalar import Scalar
+from .superalgebra import Chart, SuperFunction, _Record, koszul_sign
 
 __all__ = [
     "PoissonStructure",
@@ -110,26 +114,75 @@ def _twisted(f: SuperFunction) -> SuperFunction:
 
 
 def _hamiltonian_derivation(f: SuperFunction) -> _Derivation:
-    """``D_f = {f, .}`` as ``(df/dx^i, df~/dth_i)`` per pair, for any parity of ``f``."""
+    """``D_f = {f, .}`` as ``(df/dx^i, df~/dth_i)`` per pair, for any parity of ``f``.
+
+    One pass over ``f``'s terms fills both coefficients of every pair.  Pair
+    ``i`` is even generator ``i`` and odd generator ``i``, since a chart lists
+    its coordinates first.  A term's mask gives both signs of ``df~/dth_i``:
+    the twist ``(-1)^{|m|}`` and the ``(-1)^{|m below i|}`` of the left
+    derivative.
+    """
     chart = f.chart
     _require_darboux(chart)
-    twisted = _twisted(f)
+    n = len(chart.even_coords)
+    d_x: list[dict[int, Scalar]] = [{} for _ in range(n)]
+    d_th: list[dict[int, Scalar]] = [{} for _ in range(n)]
+    for mask, coeff in f.terms.items():
+        twist = mask.bit_count()
+        for i in range(n):
+            partial = coeff.partial(i)
+            if partial:
+                d_x[i][mask] = partial
+            probe = 1 << i
+            if mask & probe:
+                sign = twist + (mask & (probe - 1)).bit_count()
+                d_th[i][mask ^ probe] = -coeff if sign & 1 else coeff
     return tuple(
-        (f.partial_even(x_name), twisted.partial_odd(th_name))
-        for x_name, th_name in zip(chart.even_coords, chart.odd_coords)
+        (SuperFunction._trusted(chart, a), SuperFunction._trusted(chart, b))
+        for a, b in zip(d_x, d_th)
     )
 
 
 def _apply_derivation(derivation: _Derivation, g: SuperFunction) -> SuperFunction:
-    """``sum_i (a_i dg/dth_i + b_i dg/dx^i)``."""
-    chart = g.chart
-    result = SuperFunction.zero(chart)
-    for x_name, th_name, (a, b) in zip(chart.even_coords, chart.odd_coords, derivation):
-        if not a.is_zero():
-            result = result + a * g.partial_odd(th_name)
-        if not b.is_zero():
-            result = result + b * g.partial_even(x_name)
-    return result
+    """``sum_i (a_i dg/dth_i + b_i dg/dx^i)``, summed term by term into one dict.
+
+    Each term ``c m`` of ``g`` meets each pair once: its left derivative along
+    ``th_i`` multiplies the terms of ``a_i`` and its coefficient's partial
+    along ``x^i`` those of ``b_i``.  Masks that overlap and partials that
+    vanish are skipped before any product is formed.
+    """
+    terms: dict[int, Scalar] = {}
+
+    def accumulate(left: SuperFunction, right_mask: int, right: Scalar, negate: bool) -> None:
+        """Add ``(-1)^negate * left * (right m)``, ``m`` the monomial ``right_mask``."""
+        for mask, coeff in left.terms.items():
+            if mask & right_mask:
+                continue
+            prod = coeff * right
+            if (koszul_sign(mask, right_mask) < 0) != negate:
+                prod = -prod
+            key = mask | right_mask
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = prod
+            else:
+                acc = acc + prod
+                if acc:
+                    terms[key] = acc
+                else:
+                    del terms[key]
+
+    for g_mask, g_coeff in g.terms.items():
+        for i, (a, b) in enumerate(derivation):
+            probe = 1 << i
+            if a.terms and g_mask & probe:
+                below = (g_mask & (probe - 1)).bit_count()
+                accumulate(a, g_mask ^ probe, g_coeff, below & 1 == 1)
+            if b.terms:
+                partial = g_coeff.partial(i)
+                if partial:
+                    accumulate(b, g_mask, partial, False)
+    return SuperFunction._trusted(g.chart, terms)
 
 
 def odd_poisson_bracket(f: SuperFunction, g: SuperFunction) -> SuperFunction:

@@ -473,7 +473,12 @@ def transform_density(density: Density, transition: Transition) -> Density:
 
 
 def canonical_delta(density: Density) -> Density:
-    """The odd Laplacian on semidensities: ``Delta_0`` on the coefficient."""
+    """The odd Laplacian on semidensities: ``Delta_0`` on the coefficient.
+
+    It needs no volume: for every volume ``rho`` with invertible body,
+    ``sqrt(rho) * Delta_rho(s / sqrt(rho)) + (Delta_0 sqrt(rho) / sqrt(rho)) * s``
+    is ``Delta_0 s`` (see :func:`oddsymplectic.laplacians.delta_rho`).
+    """
     _require_semidensity(density)
     return Density(density.chart, delta0(density.coefficient), density.weight)
 

@@ -31,6 +31,7 @@ from .brackets import (
     odd_poisson_bracket,
 )
 from .errors import ChartMismatch, NonInvertibleBody, ParityViolation
+from .scalar import Scalar
 from .superalgebra import Chart, SuperFunction, _Record
 
 __all__ = [
@@ -89,13 +90,36 @@ class VolumeForm(_Record):
 
 
 def delta0(f: SuperFunction) -> SuperFunction:
-    """The coordinate odd Laplacian ``sum_i d^2 f / dx^i dth_i``."""
+    """The coordinate odd Laplacian ``sum_i d^2 f / dx^i dth_i``.
+
+    One pass over ``f``'s terms: a term ``c m`` with ``th_i`` in ``m`` adds
+    ``(-1)^{|m below i|} (dc/dx^i) m/th_i``, and every term lands in one dict.
+    """
     chart = f.chart
     _require_darboux(chart)
-    result = SuperFunction.zero(chart)
-    for x_name, th_name in zip(chart.even_coords, chart.odd_coords):
-        result = result + f.partial_odd(th_name).partial_even(x_name)
-    return result
+    pairs = range(len(chart.odd_coords))  # pair i: even generator i, odd generator i
+    terms: dict[int, Scalar] = {}
+    for mask, coeff in f.terms.items():
+        for i in pairs:
+            probe = 1 << i
+            if not mask & probe:
+                continue
+            partial = coeff.partial(i)
+            if not partial:
+                continue
+            if (mask & (probe - 1)).bit_count() & 1:
+                partial = -partial
+            key = mask ^ probe
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = partial
+            else:
+                acc = acc + partial
+                if acc:
+                    terms[key] = acc
+                else:
+                    del terms[key]
+    return SuperFunction._trusted(chart, terms)
 
 
 def log_derivative_bracket(rho: SuperFunction, f: SuperFunction) -> SuperFunction:
@@ -115,7 +139,13 @@ def log_derivative_bracket(rho: SuperFunction, f: SuperFunction) -> SuperFunctio
 def delta_rho(volume: VolumeForm, f: SuperFunction) -> SuperFunction:
     """The odd Laplacian of ``f`` with respect to the volume element.
 
-    Reads the volume's cached :attr:`VolumeForm.log_derivative`.
+    Reads the volume's cached :attr:`VolumeForm.log_derivative`.  On
+    semidensities it does not depend on the volume: for every ``s``,
+
+        sqrt(rho) * Delta_rho(s / sqrt(rho)) + (Delta_0 sqrt(rho) / sqrt(rho)) * s
+            = Delta_0 s,
+
+    the canonical Laplacian of :func:`oddsymplectic.charts.canonical_delta`.
     """
     if f.chart != volume.chart:
         raise ChartMismatch("volume and argument live on different charts")

@@ -240,9 +240,9 @@ class Polynomial:
         return Polynomial._trusted(
             self.nvars,
             {
-                exps[:index] + (exps[index] - 1,) + exps[index + 1 :]: coeff * exps[index]
+                exps[:index] + (e - 1,) + exps[index + 1 :]: coeff if e == 1 else coeff * e
                 for exps, coeff in self.terms.items()
-                if exps[index]
+                if (e := exps[index])
             },
         )
 

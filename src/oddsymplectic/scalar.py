@@ -145,7 +145,9 @@ class Scalar:
     # -- field operations --------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.coerce(other, self.nvars)
+        # A Scalar operand skips coerce: every path below reaches a Polynomial
+        # operation that checks the two variable counts.
+        o = other if other.__class__ is Scalar else Scalar.coerce(other, self.nvars)
         a, b = self.num, self.den
         c, d = o.num, o.den
         if b is d and b is Polynomial.one(b.nvars):
@@ -179,12 +181,15 @@ class Scalar:
         return out
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.coerce(other, self.nvars)
+        o = other if other.__class__ is Scalar else Scalar.coerce(other, self.nvars)
         a, b = self.num, self.den
         c, d = o.num, o.den
         if b is d and b is Polynomial.one(b.nvars):
             return _over_one(a * c, b)
         if a.is_zero() or c.is_zero():
+            # The one path that reaches no Polynomial operation on both operands.
+            if a.nvars != c.nvars:
+                raise ValueError("scalar over a different variable set")
             return Scalar.zero(self.nvars)
         if not d.is_constant():
             _, a, d = a.cofactors(d)

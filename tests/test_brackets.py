@@ -93,10 +93,12 @@ def test_bracket_matches_general_structure(c2):
 
 
 def _mixed(rng, chart):
-    f = sampling.random_superfunction(rng, chart, degree=2, parity=0)
-    f = f + sampling.random_superfunction(rng, chart, degree=2, parity=1)
-    assert f.parity() is None
-    return f
+    """A random function with nonzero even and odd parts (redrawn until so)."""
+    while True:
+        f = sampling.random_superfunction(rng, chart, degree=2, parity=0)
+        f = f + sampling.random_superfunction(rng, chart, degree=2, parity=1)
+        if f.parity() is None:
+            return f
 
 
 @pytest.mark.parametrize("n", range(1, sampling.MAX_DIMENSION + 1))
@@ -120,6 +122,21 @@ def test_derivation_users_match_the_oracle_on_mixed_parity(n):
             f.odd_part(), s
         )
         assert lie_derivative_density(f, s) == by_parts
+
+
+@pytest.mark.parametrize("n", range(1, sampling.MAX_DIMENSION + 1))
+def test_vector_field_matches_the_composed_partials(n):
+    # The one-pass derivation against its definition: D_f th_i = df/dx^i and
+    # D_f x^i = d(f_even - f_odd)/dth_i, by SuperFunction's own partials.
+    rng = Random(4200 + n)
+    chart = sampling.default_chart(n)
+    for _ in range(3):
+        f = _mixed(rng, chart)
+        field = hamiltonian_vector_field(f)
+        twisted = f.even_part() - f.odd_part()
+        for x_name, th_name in zip(chart.even_coords, chart.odd_coords):
+            assert field[th_name] == f.partial_even(x_name)
+            assert field[x_name] == twisted.partial_odd(th_name)
 
 
 def test_axioms_on_small_family(c2):

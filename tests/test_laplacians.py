@@ -288,3 +288,57 @@ def test_one_volume_inverts_its_coefficient_once(c2, monkeypatch):
         delta_rho(volume, f)
     delta_rho_squared(volume, x1 * x2 * th1 * th2)
     assert calls == [coefficient]
+
+
+def _mixed(rng, chart):
+    """A random function with nonzero even and odd parts (redrawn until so)."""
+    while True:
+        f = sampling.random_superfunction(rng, chart, degree=2, parity=0)
+        f = f + sampling.random_superfunction(rng, chart, degree=2, parity=1)
+        if f.parity() is None:
+            return f
+
+
+def _delta0_by_partials(f):
+    """The composed definition: ``sum_i d/dx^i (d f / dth_i)``."""
+    chart = f.chart
+    result = SuperFunction.zero(chart)
+    for x_name, th_name in zip(chart.even_coords, chart.odd_coords):
+        result = result + f.partial_odd(th_name).partial_even(x_name)
+    return result
+
+
+@pytest.mark.parametrize("externals", [(), ("eps1",)], ids=["plain", "external"])
+@pytest.mark.parametrize("n", range(1, sampling.MAX_DIMENSION + 1))
+def test_delta0_matches_the_composed_partials(n, externals):
+    rng = Random(5200 + n)
+    chart = sampling.default_chart(n, externals=externals)
+    # A drawn body c / (1 + m^2) may have m = 1; the fixed one never does.
+    fixed = parse_expression("1/(1 + x1^2)", chart)
+    for _ in range(3):
+        f = _mixed(rng, chart)
+        rho = sampling.random_volume(rng, chart, degree=1, rational=True).coefficient
+        for g in (f, f * rho.invert(), f * fixed):
+            assert delta0(g) == _delta0_by_partials(g)
+
+
+_THETA_ROOTS = ("(1 + x1*th1*th2)*(2 + x2)", "3 + x1 + x2^2 + x1*th1*th2", "2 + x2*th1*th2 + x1*x2")
+
+
+@pytest.mark.parametrize("root_text", ("1 + x1^2",) + _THETA_ROOTS)
+def test_the_semidensity_laplacian_does_not_depend_on_the_volume(c2, root_text):
+    # sqrt(rho) Delta_rho(s / sqrt(rho)) + (Delta_0 sqrt(rho) / sqrt(rho)) s = Delta_0 s.
+    root = parse_expression(root_text, c2)
+    volume = VolumeForm(c2, root * root)
+    root_inv = root.invert()
+    correction = delta0(root) * root_inv
+    # Only a root with theta-dependence has a correction term, and only there
+    # does the wrong sign on it fail the identity.
+    assert correction.is_zero() == (root_text not in _THETA_ROOTS)
+    rng = Random(5300)
+    for _ in range(3):
+        s = _mixed(rng, c2)
+        transported = root * delta_rho(volume, s * root_inv)
+        assert transported + correction * s == delta0(s)
+        if not correction.is_zero():
+            assert transported - correction * s != delta0(s)

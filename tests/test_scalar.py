@@ -91,3 +91,25 @@ def test_power():
     assert s**3 == (x * x * x) / (y * y * y)
     assert s**-2 == (y * y) / (x * x)
     assert s**0 == 1
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (Scalar.variable(0, 2), Scalar.variable(2, 3)),
+        (Scalar.one(2) / (Scalar.variable(0, 2) + 1), Scalar.one(3) / (Scalar.variable(2, 3) + 1)),
+        (Scalar.variable(1, 2), Scalar.one(3) / (Scalar.variable(0, 3) + 2)),
+        (Scalar.zero(2), Scalar.variable(2, 3)),
+        (Scalar.zero(2), Scalar.one(3) / (Scalar.variable(2, 3) + 1)),
+        (Scalar.one(2) / (Scalar.variable(0, 2) + 1), Scalar.zero(3)),
+        (Scalar.zero(2), Scalar.zero(3)),
+    ],
+    ids=["polynomials", "fractions", "mixed", "zero-polynomial", "zero-fraction",
+         "fraction-zero", "zeros"],
+)
+def test_scalars_over_different_variable_counts_do_not_combine(left, right):
+    for a, b in ((left, right), (right, left)):
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a * b
