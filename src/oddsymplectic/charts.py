@@ -19,14 +19,19 @@ invariance statement ``Delta_0(sqrt(Ber)) = 0`` is exposed for verification.
 The linear algebra is one Gauss-Jordan elimination over the even
 subalgebra.  Each column pivots on its first remaining entry with a nonzero
 body (theta-free part), which is therefore invertible, and the determinant
-is the signed product of the pivots.  A column without such an entry has a
-determinant with zero body: the elimination then expands the remaining
-block along that column, so nilpotent determinants stay exact.  One solve
-of ``D X = C`` gives both ``det(D)`` and ``X = D^{-1} C`` (when ``B`` is
-zero, as for point maps and shifts, ``X`` is not needed and only ``det(D)``
-is computed); a second, without a right-hand side, gives the determinant of
-the Schur complement ``A - B X``.  The cotangent lift of a base map solves
-``J^T th = th'`` for its odd images with the same routine.
+is the signed product of the pivots; a pivot that is exactly one is not
+inverted, and zero entries of a pivot row are not scaled.  A column without
+such an entry has a determinant with zero body: the elimination then
+expands the remaining block along that column, so nilpotent determinants
+stay exact.  :func:`berezinian` differentiates the images block by block
+and builds ``C`` only when ``B`` is nonzero: one solve of ``D X = C`` then
+gives both ``det(D)`` and ``X = D^{-1} C``, and a second, without a
+right-hand side, the determinant of the Schur complement ``A - B X``.  When
+``B`` is zero, as for point maps and shifts, only ``det(D)`` is solved for
+and ``A`` is the Schur complement.  :func:`jacobian` builds all four blocks
+at once; the tests use it as the oracle for the block-wise code.  The
+cotangent lift of a base map solves ``J^T th = th'`` for its odd images
+with the same routine.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .errors import (
     ParityViolation,
 )
 from .laplacians import VolumeForm, delta0, delta_rho
+from .poly import Polynomial
 from .scalar import ScalarLike
 from .superalgebra import Chart, SuperFunction, _Record
 
@@ -73,6 +79,14 @@ MAX_FLOW_STEPS = 50
 
 
 # -- small exact linear algebra over the even part of the algebra -------------------
+
+
+def _is_one(f: SuperFunction) -> bool:
+    """True iff ``f`` is the constant one, tested without building a constant."""
+    if len(f.terms) != 1:
+        return False
+    body = f.terms.get(0)
+    return body is not None and body.den.is_constant() and body.num == Polynomial.one(body.nvars)
 
 
 def _solve_even(
@@ -115,10 +129,12 @@ def _solve_even(
             det = -det
         pivot_row = rows[k]
         pivot = pivot_row[k]
-        det = det * pivot
-        inv = pivot.invert()
-        for j in range(k + 1, len(pivot_row)):
-            pivot_row[j] = pivot_row[j] * inv
+        if not _is_one(pivot):
+            det = det * pivot
+            inv = pivot.invert()
+            for j in range(k + 1, len(pivot_row)):
+                if not pivot_row[j].is_zero():
+                    pivot_row[j] = pivot_row[j] * inv
         for i in range(k + 1, size) if rhs is None else range(size):
             factor = rows[i][k]
             if i == k or factor.is_zero():
@@ -321,31 +337,35 @@ def berezinian(transition: Transition) -> SuperFunction:
     Raises :class:`~oddsymplectic.errors.InvalidTransition` when the odd-odd
     block or the Schur complement of the even-even block is not invertible.
     """
-    tgt = transition.target
-    n_even = len(transition.source.even_coords)
-    jac = jacobian(transition)
-    a = [row[:n_even] for row in jac[:n_even]]
-    b = [row[n_even:] for row in jac[:n_even]]
-    c = [row[:n_even] for row in jac[n_even:]]
-    d = [row[n_even:] for row in jac[n_even:]]
-    # D^{-1} C is needed only against a nonzero B; point maps and shifts
-    # have B = 0, and their Schur complement is A itself.
-    rhs = c if any(not entry.is_zero() for row in b for entry in row) else None
+    src, tgt = transition.source, transition.target
+    images = transition.images
+    evens, odds = tgt.even_coords, tgt.odd_coords
+    a = [[images[row].partial_even(col) for col in evens] for row in src.even_coords]
+    b = [[images[row].partial_odd(col) for col in odds] for row in src.even_coords]
+    d = [[images[row].partial_odd(col) for col in odds] for row in src.odd_coords]
+    # C and D^{-1} C are needed only against a nonzero B; point maps and
+    # shifts have B = 0, and their Schur complement is A itself.
+    c = None
+    if any(not entry.is_zero() for b_row in b for entry in b_row):
+        c = [[images[row].partial_even(col) for col in evens] for row in src.odd_coords]
     try:
-        det_d, x = _solve_even(d, rhs, tgt)
+        det_d, x = _solve_even(d, c, tgt)
         det_d_inv = det_d.invert()
     except NonInvertibleBody:
         raise InvalidTransition(
             "odd-odd block of the Jacobian is not invertible"
         ) from None
     # The Schur complement A - B (D^{-1} C): odd times odd, so even entries.
-    schur = [list(row) for row in a]
-    for i, b_row in enumerate(b):
-        for k, b_ik in enumerate(b_row):
-            if b_ik.is_zero():
-                continue
-            for j, x_kj in enumerate(x[k]):
-                schur[i][j] = schur[i][j] - b_ik * x_kj
+    schur = a
+    if c is not None:
+        schur = [list(row) for row in a]
+        for i, b_row in enumerate(b):
+            for k, b_ik in enumerate(b_row):
+                if b_ik.is_zero():
+                    continue
+                for j, x_kj in enumerate(x[k]):
+                    if not x_kj.is_zero():
+                        schur[i][j] = schur[i][j] - b_ik * x_kj
     det_schur, _ = _solve_even(schur, None, tgt)
     if 0 not in det_schur.terms:
         raise InvalidTransition("even-even block of the Jacobian is not invertible")

@@ -116,13 +116,14 @@ def random_volume(
     """An even volume coefficient with invertible body.
 
     With ``rational=True`` the body is a genuine rational function ``c / (1
-    + m^2)`` while the remaining terms all carry odd factors; the quotient of
-    soul and body then stays polynomial, which keeps inverses inexpensive.
+    + x_i^2)`` for one even coordinate ``x_i``, while the remaining terms all
+    carry odd factors; the quotient of soul and body then stays polynomial,
+    which keeps inverses inexpensive.
     """
     for _ in range(64):
         coefficient = SuperFunction.one(chart).scale(_nonzero_coefficient(rng))
         if rational:
-            square = random_even_monomial(rng, chart, degree=1)
+            square = SuperFunction.generator(chart, rng.choice(chart.even_coords))
             square = square * square
             coefficient = coefficient * (SuperFunction.one(chart) + square).invert()
             if chart.nodds >= 2:

@@ -470,15 +470,19 @@ class SuperFunction:
     def __pow__(self, exponent: int) -> "SuperFunction":
         if exponent < 0:
             return self.invert() ** (-exponent)
-        result = SuperFunction.one(self.chart)
+        if exponent == 0:
+            return SuperFunction.one(self.chart)
+        # Square-and-multiply from the base: ``f ** 1`` is ``f`` itself, which
+        # is safe because values are never mutated.
+        result = None
         base = self
-        while exponent:
+        while True:
             if exponent & 1:
-                result = result * base
-            if exponent > 1:
-                base = base * base
+                result = base if result is None else result * base
             exponent >>= 1
-        return result
+            if not exponent:
+                return result
+            base = base * base
 
     def __truediv__(self, other: Like) -> "SuperFunction":
         if isinstance(other, SuperFunction):
@@ -618,17 +622,15 @@ class SuperFunction:
         stay invertible.
         """
         chart = self.chart
+        names = chart.evens + chart.odds
+        # None is a default image: the same-named target generator, built the
+        # first time a term uses it, so unused generators need not exist in
+        # the target chart.
         imgs: list[SuperFunction | None] = []
-        for index, name in enumerate(chart.evens + chart.odds):
+        for index, name in enumerate(names):
             img = images.get(name)
             if img is None:
-                # Default to the same-named target generator, resolved lazily
-                # so unused generators need not exist in the target chart.
-                imgs.append(
-                    SuperFunction.generator(target, name)
-                    if target.has_generator(name)
-                    else None
-                )
+                imgs.append(None)
                 continue
             odd = index >= chart.nvars
             if not isinstance(img, SuperFunction):
@@ -641,21 +643,26 @@ class SuperFunction:
                 kind = "odd" if odd else "even"
                 raise ParityViolation(f"image of {kind} generator {name!r} must be {kind}")
             imgs.append(img)
-        even_imgs, odd_imgs = imgs[: chart.nvars], imgs[chart.nvars :]
+
+        def image(index: int) -> SuperFunction:
+            img = imgs[index]
+            if img is None:
+                name = names[index]
+                if not target.has_generator(name):
+                    kind = "odd" if index >= chart.nvars else "even"
+                    raise UnknownGenerator(
+                        f"no image for {kind} generator {name!r} in chart {target.name!r}"
+                    )
+                img = imgs[index] = SuperFunction.generator(target, name)
+            return img
 
         power_cache: list[dict[int, SuperFunction]] = [dict() for _ in chart.evens]
 
         def even_power(index: int, exponent: int) -> SuperFunction:
-            base = even_imgs[index]
-            if base is None:
-                raise UnknownGenerator(
-                    f"no image for even generator {chart.evens[index]!r} in chart "
-                    f"{target.name!r}"
-                )
             cache = power_cache[index]
             hit = cache.get(exponent)
             if hit is None:
-                hit = base**exponent
+                hit = image(index) ** exponent
                 cache[exponent] = hit
             return hit
 
@@ -680,13 +687,7 @@ class SuperFunction:
                     den_cache[scalar.den] = inv
                 value = value * inv
             for bit in bits_of(mask):
-                img = odd_imgs[bit]
-                if img is None:
-                    raise UnknownGenerator(
-                        f"no image for odd generator {chart.odds[bit]!r} in chart "
-                        f"{target.name!r}"
-                    )
-                value = value * img
+                value = value * image(chart.nvars + bit)
             result = result + value
         return result
 

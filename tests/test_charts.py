@@ -34,6 +34,7 @@ from oddsymplectic.errors import (
 from oddsymplectic.gaussian import GaussianRational
 from oddsymplectic.laplacians import delta0
 from oddsymplectic.superalgebra import Chart, SuperFunction
+from test_dense_lifts import dense_map
 
 
 def gens(chart, *names):
@@ -404,6 +405,26 @@ def transitions_of_every_kind(n):
     return chart, {"point": point, "bent": bent, "shift": shift, "flow": flow}
 
 
+def berezinian_from_the_full_jacobian(transition):
+    """``det(A - B D^{-1} C) / det(D)`` with every block taken from :func:`jacobian`."""
+    chart = transition.target
+    n = len(transition.source.even_coords)
+    jac = jacobian(transition)
+    a = [row[:n] for row in jac[:n]]
+    b = [row[n:] for row in jac[:n]]
+    c = [row[:n] for row in jac[n:]]
+    d = [row[n:] for row in jac[n:]]
+    det_d, x = _solve_even(d, c, chart)
+    schur = [
+        [
+            a[i][j] - sum((b[i][k] * x[k][j] for k in range(len(d))), SuperFunction.zero(chart))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return _solve_even(schur, None, chart)[0] * det_d.invert()
+
+
 def berezinian_through_the_even_block(transition):
     """``det(A) / det(D - C A^{-1} B)``: the other Schur complement's formula."""
     chart = transition.target
@@ -433,6 +454,48 @@ def test_berezinian_with_odd_off_diagonal_blocks():
     # det(A - B D^{-1} C) / det(D) = 1 - (-eps1) eps2.
     assert berezinian(t) == one(chart) + eps1 * eps2
     assert berezinian_through_the_even_block(t) == berezinian(t)
+    assert berezinian_from_the_full_jacobian(t) == berezinian(t)
+
+
+def assert_the_three_berezinians_agree(transition):
+    ber = berezinian(transition)
+    assert berezinian_from_the_full_jacobian(transition) == ber
+    assert berezinian_through_the_even_block(transition) == ber
+
+
+def tilt(chart):
+    """``x_i -> x_i + eps1 th_i``, ``th_i -> th_i + eps2 x_i``: B and C both nonzero.
+
+    The map is not canonical.  On the canonical maps above ``det(A - B D^{-1} C)``
+    came out equal to ``det(A)``, so only a map like this one shows a dropped
+    Schur term.
+    """
+    eps1, eps2 = gens(chart, "eps1", "eps2")
+    images = {}
+    for x, th in zip(chart.even_coords, chart.odd_coords):
+        xi, thi = gens(chart, x, th)
+        images[x] = xi + eps1 * thi
+        images[th] = thi + eps2 * xi
+    return Transition(chart, chart, images)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_block_berezinian_matches_the_oracles_on_every_kind(n):
+    chart, kinds = transitions_of_every_kind(n)
+    eps1, eps2 = gens(chart, "eps1", "eps2")
+    kinds["tilt"] = tilt(chart)
+    # (1 + eps1 eps2)^n, the product of the Schur complement's diagonal.
+    assert berezinian(kinds["tilt"]) == one(chart) + (eps1 * eps2).scale(n)
+    for first in kinds.values():
+        assert_the_three_berezinians_agree(first)
+        for then in kinds.values():
+            assert_the_three_berezinians_agree(first.compose(then))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_block_berezinian_matches_the_oracles_on_dense_lifts(seed):
+    phi = dense_map(3, seed)
+    assert_the_three_berezinians_agree(Transition.point(Chart.darboux(3), phi[0].chart, phi))
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -59,6 +59,15 @@ def test_volumes_are_invertible_and_squares_are_exact():
         assert root * root == square.coefficient
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rational_volumes_have_rational_bodies(n):
+    chart = chart_with_external(n)
+    rng = Random(5201)
+    for _ in range(40):
+        body = sampling.random_volume(rng, chart, rational=True).coefficient.body()
+        assert not body.is_polynomial(), body
+
+
 def test_point_transitions_are_canonical_and_nonlinear():
     chart = chart_with_external()
     rng = Random(23)

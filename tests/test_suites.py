@@ -7,8 +7,8 @@ import pytest
 
 from oddsymplectic import brackets, charts, master, sampling, suites
 
-SAMPLING_DIGEST = "d64add530091d37f671587651cfa08cb71cd17b11491e47ea7cf4fa735dcb2ab"
-DEFORMED_BRACKET_DIGEST = "7c16080739eee660af4056a43a84065a6391678200d3f339582300a3019a5728"
+SAMPLING_DIGEST = "f9b91ce04f39728ea9d3d1464154ddd4a50e2645a2fb97dd5cd0ff9ebad87e47"
+DEFORMED_BRACKET_DIGEST = "836e9905e4a805c79fb89e12fe0159c1e71bcac7a804de9028206dae5d84ab8e"
 
 
 def test_unknown_suite_rejected():

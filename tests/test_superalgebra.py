@@ -302,8 +302,14 @@ def test_substitute_missing_name_defaults_to_target(c2):
     tiny = Chart.darboux(1)
     # generators the function does not use need no image in the target
     assert f.substitute({}, tiny) == SuperFunction.generator(tiny, "x1") * SuperFunction.generator(tiny, "th1")
-    with pytest.raises(UnknownGenerator):
+    with pytest.raises(UnknownGenerator, match="no image for even generator 'x2' in chart"):
         (x2 * th1).substitute({}, tiny)  # x2 is used but has no image
+    th2 = SuperFunction.generator(c2, "th2")
+    with pytest.raises(UnknownGenerator, match="no image for odd generator 'th2' in chart"):
+        (x1 * th2).substitute({}, tiny)
+    # an explicit image stands in for a generator the target lacks
+    swap = {"x2": SuperFunction.generator(tiny, "x1"), "th2": SuperFunction.generator(tiny, "th1")}
+    assert (x2 * th2).substitute(swap, tiny) == f.substitute({}, tiny)
 
 
 def test_berezin_integral_single(c2):
@@ -375,3 +381,17 @@ def test_power_series_helpers(c2):
     assert f**3 == SuperFunction.one(c2) + (th1 * th2).scale(3)
     assert (x1 + th1) ** 2 == x1 * x1 + (x1 * th1).scale(2)
     assert (th1 + th2) ** 2 == SuperFunction.zero(c2)
+
+
+def test_powers_of_an_even_function_with_nilpotent_terms(c2):
+    x1, x2, th1, th2 = gens(c2, "x1", "x2", "th1", "th2")
+    f = SuperFunction.one(c2).scale(2) + x1 + x2 * th1 * th2
+    assert f**0 == 1
+    assert f**1 is f
+    product = SuperFunction.one(c2)
+    for _ in range(5):
+        product = product * f
+    assert f**5 == product
+    inverse = f.invert()
+    assert f**-3 == inverse * inverse * inverse
+    assert f**-3 * f**3 == 1
