@@ -10,8 +10,9 @@ no parity split of ``f`` is needed.  The pairs ``(df/dx^i, df~/dth_i)`` form
 the Hamiltonian derivation ``D_f = {f, .}``, which also gives vector fields,
 ``{log rho, .}``, Lie derivatives and flows.  ``D_f`` is read off ``f``'s
 terms in one pass and applied in one pass over ``g``'s terms, summing every
-product into one dict; :func:`oddsymplectic.laplacians.delta0` works the same
-way.
+product into one dict with the product kernel of
+:mod:`oddsymplectic.superalgebra`; :func:`oddsymplectic.laplacians.delta0`
+works the same way.
 
 The same machinery supports an even or odd bracket for arbitrary conjugate
 pairs ``(u^A, v_A)`` with ``p(v_A) = p(u_A) + eps``, which covers cotangent
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from .errors import ChartMismatch, ParityViolation
 from .scalar import Scalar
-from .superalgebra import Chart, SuperFunction, _Record, koszul_sign
+from .superalgebra import Chart, SuperFunction, _Record, _add_products
 
 __all__ = [
     "PoissonStructure",
@@ -152,36 +153,18 @@ def _apply_derivation(derivation: _Derivation, g: SuperFunction) -> SuperFunctio
     vanish are skipped before any product is formed.
     """
     terms: dict[int, Scalar] = {}
-
-    def accumulate(left: SuperFunction, right_mask: int, right: Scalar, negate: bool) -> None:
-        """Add ``(-1)^negate * left * (right m)``, ``m`` the monomial ``right_mask``."""
-        for mask, coeff in left.terms.items():
-            if mask & right_mask:
-                continue
-            prod = coeff * right
-            if (koszul_sign(mask, right_mask) < 0) != negate:
-                prod = -prod
-            key = mask | right_mask
-            acc = terms.get(key)
-            if acc is None:
-                terms[key] = prod
-            else:
-                acc = acc + prod
-                if acc:
-                    terms[key] = acc
-                else:
-                    del terms[key]
-
     for g_mask, g_coeff in g.terms.items():
         for i, (a, b) in enumerate(derivation):
             probe = 1 << i
             if a.terms and g_mask & probe:
                 below = (g_mask & (probe - 1)).bit_count()
-                accumulate(a, g_mask ^ probe, g_coeff, below & 1 == 1)
+                _add_products(
+                    terms, a.terms.items(), ((g_mask ^ probe, g_coeff),), below & 1 == 1
+                )
             if b.terms:
                 partial = g_coeff.partial(i)
                 if partial:
-                    accumulate(b, g_mask, partial, False)
+                    _add_products(terms, b.terms.items(), ((g_mask, partial),))
     return SuperFunction._trusted(g.chart, terms)
 
 

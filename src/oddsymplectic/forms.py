@@ -41,7 +41,7 @@ from .errors import (
 )
 from .laplacians import VolumeForm, delta_rho
 from .scalar import Scalar
-from .superalgebra import Chart, OddKind, SuperFunction, _Record, bits_of
+from .superalgebra import Chart, OddKind, SuperFunction, _Record, _add_term, bits_of
 
 __all__ = [
     "BaseDensity",
@@ -258,12 +258,7 @@ def classical_divergence(field: SuperFunction, sigma: BaseDensity) -> SuperFunct
             ) * sigma_inverse
             if sign:
                 value = -value
-            acc = terms.get(rest)
-            total = value if acc is None else acc + value
-            if total.is_zero():
-                terms.pop(rest, None)
-            else:
-                terms[rest] = total
+            _add_term(terms, rest, value)
     return SuperFunction(chart, terms)
 
 

@@ -32,7 +32,7 @@ from .brackets import (
 )
 from .errors import ChartMismatch, NonInvertibleBody, ParityViolation
 from .scalar import Scalar
-from .superalgebra import Chart, SuperFunction, _Record
+from .superalgebra import Chart, SuperFunction, _Record, _add_term
 
 __all__ = [
     "VolumeForm",
@@ -109,16 +109,7 @@ def delta0(f: SuperFunction) -> SuperFunction:
                 continue
             if (mask & (probe - 1)).bit_count() & 1:
                 partial = -partial
-            key = mask ^ probe
-            acc = terms.get(key)
-            if acc is None:
-                terms[key] = partial
-            else:
-                acc = acc + partial
-                if acc:
-                    terms[key] = acc
-                else:
-                    del terms[key]
+            _add_term(terms, mask ^ probe, partial)
     return SuperFunction._trusted(chart, terms)
 
 

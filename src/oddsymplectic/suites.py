@@ -98,31 +98,37 @@ def _axiom_items(n: int, rng: Random, count: int) -> list[SuiteItem]:
         for _ in range(count)
     ]
     report = derived.check_axioms(brackets.odd_poisson_bracket, 1, triples=triples)
-    witness = "; ".join(report.failures[:2])
 
-    def item(tag: str, description: str, ok: bool) -> SuiteItem:
-        return SuiteItem(tag, description, count, ok, "" if ok else witness)
+    def item(tag: str, description: str, ok: bool, prefix: str) -> SuiteItem:
+        """The axiom's item; a failure's witness is its own first two messages."""
+        own = [message for message in report.failures if message.startswith(prefix)]
+        witness = "" if ok else "; ".join(own[:2])
+        return SuiteItem(tag, description, report.triples_checked, ok, witness)
 
     return [
         item(
             "bracket-parity-shift",
             "the bracket of homogeneous arguments shifts parity by one",
             report.parity_ok,
+            "parity:",
         ),
         item(
             "bracket-shifted-antisymmetry",
             "graded antisymmetry holds with both parities shifted by one",
             report.antisymmetry_ok,
+            "antisymmetry",
         ),
         item(
             "bracket-left-leibniz",
             "the bracket differentiates pointwise products on the right slot",
             report.leibniz_ok,
+            "Leibniz",
         ),
         item(
             "bracket-shifted-jacobi",
             "the graded Jacobi identity holds with shifted parities",
             report.jacobi_ok,
+            "Jacobi",
         ),
     ]
 

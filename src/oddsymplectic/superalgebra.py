@@ -11,6 +11,13 @@ A :class:`SuperFunction` is a finite sum ``sum_m c_m(x) * m`` of odd
 monomials ``m`` with :class:`~oddsymplectic.scalar.Scalar` coefficients
 (exact rational functions of the even generators).  All arithmetic is exact;
 equality of values is equality of representations.
+
+Superfunction terms are summed through two private kernels:
+:func:`_add_term` adds one term to a term dict and drops an entry that
+cancels, and :func:`_add_products` adds the Koszul-signed products of two
+sequences of ``(mask, coefficient)`` pairs.  ``SuperFunction`` sums and
+products, the Hamiltonian derivation, ``delta0``, the Berezin integral and the
+classical divergence all use them.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import enum
 import math
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     ChartMismatch,
@@ -73,6 +80,39 @@ def koszul_sign(left_mask: int, right_mask: int) -> int:
         total += (left_mask >> low.bit_length()).bit_count()
         m ^= low
     return -1 if total & 1 else 1
+
+
+def _add_term(terms: dict[int, Scalar], mask: int, value: Scalar) -> None:
+    """Add ``value m`` to ``terms``, ``m`` the monomial ``mask``; a cancelled entry goes."""
+    acc = terms.get(mask)
+    if acc is not None:
+        value = acc + value
+        if not value:
+            del terms[mask]
+            return
+    terms[mask] = value
+
+
+def _add_products(
+    terms: dict[int, Scalar],
+    left: Iterable[tuple[int, Scalar]],
+    right: Collection[tuple[int, Scalar]],
+    negate: bool = False,
+) -> None:
+    """Add ``(-1)^negate * left * right`` to ``terms``, Koszul signs included.
+
+    ``left`` and ``right`` are ``(mask, coefficient)`` pairs; ``right`` is
+    iterated once per term of ``left``.  Overlapping masks are skipped before
+    any product is formed.
+    """
+    for m1, c1 in left:
+        for m2, c2 in right:
+            if m1 & m2:
+                continue
+            prod = c1 * c2
+            if (koszul_sign(m1, m2) < 0) != negate:
+                prod = -prod
+            _add_term(terms, m1 | m2, prod)
 
 
 class _Record:
@@ -402,15 +442,7 @@ class SuperFunction:
         o = self._coerce(other)
         terms = dict(self.terms)
         for mask, coeff in o.terms.items():
-            acc = terms.get(mask)
-            if acc is None:
-                terms[mask] = coeff
-            else:
-                acc = acc + coeff
-                if acc.is_zero():
-                    del terms[mask]
-                else:
-                    terms[mask] = acc
+            _add_term(terms, mask, coeff)
         return SuperFunction._trusted(self.chart, terms)
 
     __radd__ = __add__
@@ -442,24 +474,7 @@ class SuperFunction:
             return self.scale(other)
         o = self._coerce(other)
         terms: dict[int, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                if m1 & m2:
-                    continue
-                sign = koszul_sign(m1, m2)
-                prod = c1 * c2
-                if sign < 0:
-                    prod = -prod
-                mask = m1 | m2
-                acc = terms.get(mask)
-                if acc is None:
-                    terms[mask] = prod
-                else:
-                    acc = acc + prod
-                    if acc.is_zero():
-                        del terms[mask]
-                    else:
-                        terms[mask] = acc
+        _add_products(terms, self.terms.items(), o.terms.items())
         return SuperFunction._trusted(self.chart, terms)
 
     def __rmul__(self, other: Like) -> "SuperFunction":
@@ -708,17 +723,8 @@ class SuperFunction:
             total = 0
             for bit in bits_of(over):
                 total += (rest & ((1 << bit) - 1)).bit_count()
-            acc = terms.get(rest)
-            signed = -coeff if total & 1 else coeff
-            if acc is None:
-                terms[rest] = signed
-            else:
-                acc = acc + signed
-                if not acc.is_zero():
-                    terms[rest] = acc
-                else:
-                    del terms[rest]
-        return SuperFunction(self.chart, terms)
+            _add_term(terms, rest, -coeff if total & 1 else coeff)
+        return SuperFunction._trusted(self.chart, terms)
 
     # -- structural helpers -------------------------------------------------------------------------
 

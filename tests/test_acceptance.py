@@ -53,14 +53,7 @@ from oddsymplectic.sampling import (
     random_superfunction,
 )
 from oddsymplectic.superalgebra import Chart, SuperFunction
-
-
-def gens(chart, *names):
-    return tuple(SuperFunction.generator(chart, n) for n in names)
-
-
-def one(chart):
-    return SuperFunction.one(chart)
+from helpers import gens, one
 
 
 def _homogeneous(rng, chart, parity, degree=2):

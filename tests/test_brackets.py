@@ -26,15 +26,7 @@ from oddsymplectic.charts import (
 from oddsymplectic.errors import ChartMismatch, NotFiberQuadratic, ParityViolation
 from oddsymplectic.laplacians import log_derivative_bracket
 from oddsymplectic.superalgebra import Chart, SuperFunction
-
-
-def gens(chart, *names):
-    return tuple(SuperFunction.generator(chart, n) for n in names)
-
-
-@pytest.fixture
-def c2():
-    return Chart.darboux(2)
+from helpers import gens, mixed
 
 
 def test_canonical_pairings(c2):
@@ -92,15 +84,6 @@ def test_bracket_matches_general_structure(c2):
             assert struct.bracket(f, g) == odd_poisson_bracket(f, g)
 
 
-def _mixed(rng, chart):
-    """A random function with nonzero even and odd parts (redrawn until so)."""
-    while True:
-        f = sampling.random_superfunction(rng, chart, degree=2, parity=0)
-        f = f + sampling.random_superfunction(rng, chart, degree=2, parity=1)
-        if f.parity() is None:
-            return f
-
-
 @pytest.mark.parametrize("n", range(1, sampling.MAX_DIMENSION + 1))
 def test_derivation_users_match_the_oracle_on_mixed_parity(n):
     # The homogeneous samples above never exercise the twisted odd part of f
@@ -109,7 +92,7 @@ def test_derivation_users_match_the_oracle_on_mixed_parity(n):
     chart = sampling.default_chart(n)
     struct = PoissonStructure.darboux_odd(chart)
     for _ in range(3):
-        f, g = _mixed(rng, chart), _mixed(rng, chart)
+        f, g = mixed(rng, chart), mixed(rng, chart)
         assert odd_poisson_bracket(f, g) == struct.bracket(f, g)
         field = hamiltonian_vector_field(f)
         assert list(field) == list(chart.even_coords + chart.odd_coords)
@@ -131,7 +114,7 @@ def test_vector_field_matches_the_composed_partials(n):
     rng = Random(4200 + n)
     chart = sampling.default_chart(n)
     for _ in range(3):
-        f = _mixed(rng, chart)
+        f = mixed(rng, chart)
         field = hamiltonian_vector_field(f)
         twisted = f.even_part() - f.odd_part()
         for x_name, th_name in zip(chart.even_coords, chart.odd_coords):
@@ -346,7 +329,7 @@ def _counting_derivations(monkeypatch) -> list[SuperFunction]:
 
 def test_vector_field_reads_the_derivation_without_products(monkeypatch):
     chart = Chart.darboux(3)
-    f = _mixed(Random(7), chart)
+    f = mixed(Random(7), chart)
     expected = {
         z: odd_poisson_bracket(f, SuperFunction.generator(chart, z))
         for z in chart.even_coords + chart.odd_coords

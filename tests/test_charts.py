@@ -34,15 +34,8 @@ from oddsymplectic.errors import (
 from oddsymplectic.gaussian import GaussianRational
 from oddsymplectic.laplacians import delta0
 from oddsymplectic.superalgebra import Chart, SuperFunction
+from helpers import gens, one
 from test_dense_lifts import dense_map
-
-
-def gens(chart, *names):
-    return tuple(SuperFunction.generator(chart, n) for n in names)
-
-
-def one(chart):
-    return SuperFunction.one(chart)
 
 
 # -- basic transitions ------------------------------------------------------------

@@ -29,14 +29,7 @@ from oddsymplectic.gaussian import GaussianRational
 from oddsymplectic.poly import Polynomial
 from oddsymplectic.scalar import Scalar
 from oddsymplectic.superalgebra import Chart, SuperFunction
-
-
-def gens(chart, *names):
-    return tuple(SuperFunction.generator(chart, n) for n in names)
-
-
-def one(chart):
-    return SuperFunction.one(chart)
+from helpers import gens, one
 
 
 # -- parsing ------------------------------------------------------------------------

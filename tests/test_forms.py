@@ -38,14 +38,7 @@ from oddsymplectic.forms import (
     semidensity_to_form,
 )
 from oddsymplectic.superalgebra import Chart, OddKind, SuperFunction, bits_of
-
-
-def gens(chart, *names):
-    return tuple(SuperFunction.generator(chart, n) for n in names)
-
-
-def one(chart):
-    return SuperFunction.one(chart)
+from helpers import gens, one
 
 
 def zero(chart):

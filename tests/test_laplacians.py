@@ -21,15 +21,7 @@ from oddsymplectic.laplacians import (
     modular_operator,
 )
 from oddsymplectic.superalgebra import Chart, SuperFunction
-
-
-def gens(chart, *names):
-    return tuple(SuperFunction.generator(chart, n) for n in names)
-
-
-@pytest.fixture
-def c2():
-    return Chart.darboux(2)
+from helpers import gens, mixed
 
 
 def test_delta0_frozen_values(c2):
@@ -290,15 +282,6 @@ def test_one_volume_inverts_its_coefficient_once(c2, monkeypatch):
     assert calls == [coefficient]
 
 
-def _mixed(rng, chart):
-    """A random function with nonzero even and odd parts (redrawn until so)."""
-    while True:
-        f = sampling.random_superfunction(rng, chart, degree=2, parity=0)
-        f = f + sampling.random_superfunction(rng, chart, degree=2, parity=1)
-        if f.parity() is None:
-            return f
-
-
 def _delta0_by_partials(f):
     """The composed definition: ``sum_i d/dx^i (d f / dth_i)``."""
     chart = f.chart
@@ -316,7 +299,7 @@ def test_delta0_matches_the_composed_partials(n, externals):
     # A drawn body c / (1 + m^2) may have m = 1; the fixed one never does.
     fixed = parse_expression("1/(1 + x1^2)", chart)
     for _ in range(3):
-        f = _mixed(rng, chart)
+        f = mixed(rng, chart)
         rho = sampling.random_volume(rng, chart, degree=1, rational=True).coefficient
         for g in (f, f * rho.invert(), f * fixed):
             assert delta0(g) == _delta0_by_partials(g)
@@ -337,7 +320,7 @@ def test_the_semidensity_laplacian_does_not_depend_on_the_volume(c2, root_text):
     assert correction.is_zero() == (root_text not in _THETA_ROOTS)
     rng = Random(5300)
     for _ in range(3):
-        s = _mixed(rng, c2)
+        s = mixed(rng, c2)
         transported = root * delta_rho(volume, s * root_inv)
         assert transported + correction * s == delta0(s)
         if not correction.is_zero():

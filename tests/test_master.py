@@ -16,15 +16,8 @@ from oddsymplectic.master import (
     quantum_master_residual,
     semidensity_master_check,
 )
-from oddsymplectic.superalgebra import Chart, SuperFunction
-
-
-def gens(chart, *names):
-    return tuple(SuperFunction.generator(chart, n) for n in names)
-
-
-def one(chart):
-    return SuperFunction.one(chart)
+from oddsymplectic.superalgebra import Chart
+from helpers import gens, one
 
 
 # -- finite exponentials ----------------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 from oddsymplectic import brackets, charts, master, sampling, suites
 
 SAMPLING_DIGEST = "f9b91ce04f39728ea9d3d1464154ddd4a50e2645a2fb97dd5cd0ff9ebad87e47"
-DEFORMED_BRACKET_DIGEST = "836e9905e4a805c79fb89e12fe0159c1e71bcac7a804de9028206dae5d84ab8e"
+# The same digest at n = 4 and 5, the dimensions up to sampling.MAX_DIMENSION.
+CAP_SAMPLING_DIGEST = "5e1812947f0f1c569f39ed16feb799cef71d1940a1bb5c6c8195f7c143a8aa40"
+DEFORMED_BRACKET_DIGEST = "d5be32e5fdbe55cdfc03feea9d65517b3f0a631404fd25a6db548ca9c925db12"
 
 
 def test_unknown_suite_rejected():
@@ -92,6 +94,30 @@ def test_mutated_bracket_is_caught_with_the_violating_tag(monkeypatch):
     assert report.lines()[-1] == "FAILURES detected"
 
 
+def test_each_failing_axiom_item_reports_its_own_witness(monkeypatch):
+    original = brackets.odd_poisson_bracket
+    monkeypatch.setattr(
+        brackets, "odd_poisson_bracket", lambda f, g: original(f, g) + f * g
+    )
+    report = suites.run_suite("axioms", n=2, seed=5, count=12)
+    prefixes = {
+        "bracket-parity-shift": "parity:",
+        "bracket-shifted-antisymmetry": "antisymmetry",
+        "bracket-left-leibniz": "Leibniz",
+        "bracket-shifted-jacobi": "Jacobi",
+    }
+    failing = [item for item in report.items if not item.passed]
+    assert {item.tag for item in failing} == set(prefixes)
+    for item in failing:
+        messages = item.witness.split("; ")
+        assert 1 <= len(messages) <= 2
+        assert all(m.startswith(prefixes[item.tag]) for m in messages), item.witness
+    # The check stops at derived.MAX_FAILURES messages, before the twelfth triple;
+    # every item counts the triples actually checked.
+    checked = {item.checked for item in report.items}
+    assert len(checked) == 1 and 1 <= checked.pop() < 12
+
+
 def test_mutated_berezinian_root_is_caught(monkeypatch):
     original = charts.sqrt_berezinian
 
@@ -122,8 +148,8 @@ def test_mutated_laplacian_fails_the_exponential_identity_with_a_witness(monkeyp
     assert report.lines()[-1] == "FAILURES detected"
 
 
-def _sampling_digest(monkeypatch):
-    """sha256 of every draw and report of the named suites at n = 1..3, seed 1."""
+def _sampling_digest(monkeypatch, dimensions=(1, 2, 3)):
+    """sha256 of every draw and report of the named suites at ``dimensions``, seed 1."""
     log = []
 
     class LoggingRandom(suites.Random):
@@ -141,7 +167,7 @@ def _sampling_digest(monkeypatch):
     reports = [
         suites.run_suite(name, n=n, seed=1, count=3).to_dict()
         for name in suites.SUITE_NAMES[:-1]
-        for n in (1, 2, 3)
+        for n in dimensions
     ]
     text = repr(log) + json.dumps(reports, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -151,6 +177,11 @@ def test_suites_draw_the_same_samples(monkeypatch):
     # Which inputs a suite draws is invisible in a passing report, so the
     # draw log is pinned together with the reports.
     assert _sampling_digest(monkeypatch) == SAMPLING_DIGEST
+
+
+def test_suites_draw_the_same_samples_up_to_the_dimension_cap(monkeypatch):
+    assert sampling.MAX_DIMENSION == 5
+    assert _sampling_digest(monkeypatch, (4, 5)) == CAP_SAMPLING_DIGEST
 
 
 def test_suites_report_the_same_witnesses_under_a_deformed_bracket(monkeypatch):

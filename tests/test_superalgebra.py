@@ -5,6 +5,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddsymplectic.charts import Density, Transition
 from oddsymplectic.errors import (
@@ -19,16 +21,9 @@ from oddsymplectic.forms import BaseDensity
 from oddsymplectic.laplacians import VolumeForm
 from oddsymplectic.master import SemidensityMasterReport, nilpotent_exponential
 from oddsymplectic.poly import Polynomial
+from oddsymplectic.scalar import Scalar
 from oddsymplectic.superalgebra import Chart, OddKind, SuperFunction, koszul_sign
-
-
-def gens(chart, *names):
-    return tuple(SuperFunction.generator(chart, n) for n in names)
-
-
-@pytest.fixture
-def c2():
-    return Chart.darboux(2)
+from helpers import gens
 
 
 def test_chart_generator_order_is_kind_then_index():
@@ -56,6 +51,97 @@ def test_koszul_sign_counts_inversions():
     assert koszul_sign(0b010, 0b001) == -1  # one swap
     assert koszul_sign(0b011, 0b100) == 1
     assert koszul_sign(0b100, 0b011) == 1  # two swaps
+
+
+# -- products against a sign-counting oracle ---------------------------------------
+
+PRODUCTS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _charts(draw):
+    """Darboux charts at n = 1..5 with zero to two external odd constants."""
+    n = draw(st.integers(1, 5))
+    externals = ("eps1", "eps2")[: draw(st.integers(0, 2))]
+    return Chart.darboux(n, externals=externals)
+
+
+@st.composite
+def _functions(draw, chart, parity=None):
+    """Up to five terms ``c x_k^e m``, of one parity when ``parity`` is given."""
+    masks = draw(st.lists(st.integers(0, (1 << chart.nodds) - 1), max_size=5, unique=True))
+    if parity is not None:
+        masks = [m for m in masks if m.bit_count() & 1 == parity]
+    terms = {}
+    for mask in masks:
+        c = draw(st.integers(-3, 3).filter(bool))
+        x = Scalar.variable(draw(st.integers(0, chart.nvars - 1)), chart.nvars)
+        terms[mask] = x ** draw(st.integers(0, 2)) * c
+    return SuperFunction(chart, terms)
+
+
+def _indices(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _oracle_product(f, g):
+    """``f g`` with monomials as lists of generator indices.
+
+    Each product of two monomials is sorted by adjacent swaps, one sign flip
+    per swap of two odd generators, and vanishes when a generator repeats.
+    """
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            word = _indices(m1) + _indices(m2)
+            if len(set(word)) < len(word):
+                continue
+            sign = 1
+            for end in range(len(word) - 1, 0, -1):
+                for i in range(end):
+                    if word[i] > word[i + 1]:
+                        word[i], word[i + 1] = word[i + 1], word[i]
+                        sign = -sign
+            key = tuple(word)
+            out[key] = out.get(key, Scalar.zero(f.chart.nvars)) + c1 * c2 * sign
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _by_indices(f):
+    return {tuple(_indices(mask)): c for mask, c in f.terms.items()}
+
+
+@PRODUCTS
+@given(st.data())
+def test_products_match_the_sign_counting_oracle(data):
+    chart = data.draw(_charts())
+    f = data.draw(_functions(chart))
+    g = data.draw(
+        st.one_of(
+            _functions(chart),
+            st.just(f),
+            st.just(-f),
+            st.just(f.odd_part()),
+        )
+    )
+    product = f * g
+    assert _by_indices(product) == _oracle_product(f, g)
+    assert all(not c.is_zero() for c in product.terms.values())
+    # The odd part squares to zero: its cross terms cancel pairwise.
+    odd = f.odd_part()
+    assert (odd * odd).terms == {}
+
+
+@PRODUCTS
+@given(st.data())
+def test_homogeneous_products_supercommute_and_associate(data):
+    chart = data.draw(_charts())
+    p, q, r = (data.draw(st.integers(0, 1)) for _ in range(3))
+    f = data.draw(_functions(chart, p))
+    g = data.draw(_functions(chart, q))
+    h = data.draw(_functions(chart, r))
+    assert f * g == (g * f).scale(-1 if p * q else 1)
+    assert (f * g) * h == f * (g * h)
 
 
 def test_odd_generators_anticommute(c2):
